@@ -14,8 +14,12 @@ process.  Both evaluation strategies live here:
 For systems whose premise symbols never occur as conclusions, a fired
 conclusion can never enable another rule, so a single pass already reaches
 the fixpoint; `closed_form_ternary` / `closed_form_binary` are those guarded
-shortcuts.  They are fast paths, never the definition: callers must fall
-back to `close` when the shape recognizer refuses.
+shortcuts.  Both share one pass, `_one_pass`, which looks only at the rules
+whose first premise is in X (through `LogicSystem.first_premise_index`), so
+a query costs time in the rules it can reach, not in the size of the
+system.  They are fast paths, never the definition: callers must fall back
+to `close` when the shape recognizer refuses.  `step` and `close_naive` stay
+the readable full-scan reference that the tests compare them against.
 """
 
 from __future__ import annotations
@@ -96,6 +100,18 @@ def close_naive(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
         x = nxt
 
 
+def _one_pass(system: LogicSystem, x: DeductionSet) -> DeductionSet:
+    """X plus the conclusion of every rule whose premise set lies inside X.
+
+    This is `step` restricted to the rules reachable through
+    `first_premise_index` from X: a rule whose first premise is outside X
+    cannot have its premise set inside X, so no other rule can fire.  Each
+    rule is looked at once at most.
+    """
+    index = system.first_premise_index
+    return x | {r.conclusion for s in x for r in index.get(s, ()) if r.premise_set <= x}
+
+
 def closed_form_ternary(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
     """Value of the operator for a mixed ternary system, in one pass.
 
@@ -106,8 +122,7 @@ def closed_form_ternary(system: LogicSystem, members: Iterable[Symbol]) -> Deduc
     check = system.ternary_shape
     if not check:
         raise PreconditionViolated(f"not a mixed ternary system: {check.reason}")
-    x = _deduction_set(system, members)
-    return x | {r.conclusion for r in system.rules if r.premise_set <= x}
+    return _one_pass(system, _deduction_set(system, members))
 
 
 def closed_form_binary(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
@@ -116,8 +131,7 @@ def closed_form_binary(system: LogicSystem, members: Iterable[Symbol]) -> Deduct
     check = system.binary_shape
     if not check:
         raise PreconditionViolated(f"not a mixed binary system: {check.reason}")
-    x = _deduction_set(system, members)
-    return x | {r.conclusion for r in system.rules if r.premises[0] in x}
+    return _one_pass(system, _deduction_set(system, members))
 
 
 def chain_system(elements: Sequence[Symbol]) -> LogicSystem:

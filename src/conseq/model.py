@@ -62,6 +62,12 @@ class Symbol:
         if not isinstance(self.sort, Sort):
             raise BadIdentifier(f"bad sort for symbol {self.name!r}: {self.sort!r}")
 
+    def __hash__(self) -> int:
+        # Equal symbols share a name, so the name alone is a valid hash, and
+        # hashing one string is much cheaper than the generated hash of the
+        # (name, sort) tuple.
+        return hash(self.name)
+
     @property
     def is_standard(self) -> bool:
         return self.sort is Sort.STANDARD
@@ -206,6 +212,20 @@ class LogicSystem:
             for p in rule.premise_set:
                 index.setdefault(p, []).append(i)
         return {s: tuple(ids) for s, ids in index.items()}
+
+    @cached_property
+    def first_premise_index(self) -> dict[Symbol, tuple[Rule, ...]]:
+        """Maps each symbol to the rules whose first premise it is.
+
+        Every rule appears under exactly one key.  The one-pass closed forms
+        walk this index from the members of X, so a query looks only at the
+        rules whose first premise is in X, not at every rule.  Built lazily
+        on the first one-pass query; `close` never needs it.
+        """
+        index: dict[Symbol, list[Rule]] = {}
+        for rule in self.rules:
+            index.setdefault(rule.premises[0], []).append(rule)
+        return {s: tuple(rules) for s, rules in index.items()}
 
     @cached_property
     def premise_counts(self) -> tuple[int, ...]:

@@ -107,6 +107,33 @@ def test_closed_form_ternary_matches_spec_values():
     assert closed_form_ternary(system, {a1, a2}) == {a1, a2}
 
 
+def test_closed_form_ternary_fires_only_rules_whose_whole_premise_set_is_in():
+    # Four rules share the first premise a and differ in the nonstandard
+    # second premise; X holds a and only two of those second premises.
+    lang = make_language({"a", "b1", "b2", "b3", "b4"}, {"l1", "l2", "l3", "l4"})
+    system = make_system(lang, [(("a", f"l{i}"), f"b{i}") for i in range(1, 5)])
+    x = frozenset(lang.resolve(n) for n in ("a", "l1", "l3"))
+    expected = x | {lang.resolve("b1"), lang.resolve("b3")}
+    assert closed_form_ternary(system, x) == expected
+    assert close_naive(system, x) == expected
+
+
+def test_first_premise_index_is_built_only_by_a_one_pass_query():
+    lang = make_language({"a1", "b1", "b2"}, {"l1", "l2"})
+    chaining = make_system(lang, [(("a1", "l1"), "b1"), (("b1", "l2"), "b2")])
+    # Set-up, the shape recognizers and `close` leave it unbuilt, and so
+    # does a one-pass query that the shape guard refuses.
+    assert chaining.premise_index and chaining.premise_counts
+    assert not chaining.binary_shape
+    close(chaining, {lang.resolve("a1")})
+    with pytest.raises(PreconditionViolated):
+        closed_form_ternary(chaining, frozenset())
+    assert "first_premise_index" not in vars(chaining)
+    ternary = make_system(lang, [(("a1", "l1"), "b1"), (("a1", "l2"), "b2")])
+    closed_form_ternary(ternary, frozenset())
+    assert "first_premise_index" in vars(ternary)
+
+
 def test_closed_form_ternary_refuses_chaining_system():
     lang = make_language({"a1", "b1", "b2"}, {"l1", "l2"})
     system = make_system(lang, [(("a1", "l1"), "b1"), (("b1", "l2"), "b2")])
@@ -195,14 +222,18 @@ def test_semi_naive_agrees_with_naive(case):
 def test_ternary_fast_path_equals_engine(system):
     for xs in subsets(system.language.symbols):
         x = frozenset(xs)
-        assert closed_form_ternary(system, x) == close(system, x)
+        fast = closed_form_ternary(system, x)
+        assert fast == close(system, x)
+        assert fast == close_naive(system, x)
 
 
 @given(mixed_binary_systems(max_each=4))
 def test_binary_fast_path_equals_engine(system):
     for xs in subsets(system.language.symbols):
         x = frozenset(xs)
-        assert closed_form_binary(system, x) == close(system, x)
+        fast = closed_form_binary(system, x)
+        assert fast == close(system, x)
+        assert fast == close_naive(system, x)
 
 
 @given(mixed_ternary_systems(max_each=3))

@@ -65,6 +65,18 @@ def test_symbol_equality_is_name_and_sort():
     assert Symbol("x", Sort.STANDARD) != Symbol("x", Sort.NONSTANDARD)
 
 
+def test_symbol_hash_keeps_sorts_apart_and_matches_equal_symbols():
+    std, non = Symbol("x", Sort.STANDARD), Symbol("x", Sort.NONSTANDARD)
+    assert len({std, non}) == 2
+    table = {std: "standard", non: "nonstandard"}
+    assert len(table) == 2
+    twin = Symbol("x", Sort.STANDARD)
+    assert twin is not std and hash(twin) == hash(std)
+    assert twin in {std} and non not in {std}
+    assert table[twin] == "standard"
+    assert table[Symbol("x", Sort.NONSTANDARD)] == "nonstandard"
+
+
 def test_make_system_single_ternary_rule():
     lang = make_language({"a1", "b1"}, {"l1"})
     system = make_system(lang, [(("a1", "l1"), "b1")])
