@@ -23,6 +23,11 @@ from .influence import weight_binary, weight_ternary
 from .laws import UNIVERSE_CAP, LawReport, check_axioms, tabulate, verify_closed_form_characterization
 from .model import Sort, Symbol
 
+# Longest chain `conseq chain` generates, in rules: the 10^5-rule chain is the
+# largest workload in ROADMAP.md.  A longer request fails with a ConseqError
+# before any symbol is built.
+CHAIN_CAP = 100_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this tool reserves 2 for failed
@@ -145,6 +150,8 @@ def _cmd_influence(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
+    if args.length > CHAIN_CAP:
+        raise ConseqError(f"--length {args.length} exceeds the cap of {CHAIN_CAP} rules")
     symbols = [Symbol(f"{args.prefix}{i}", Sort.STANDARD) for i in range(args.length + 1)]
     system = chain_system(symbols)
     if args.emit:
@@ -206,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("chain", _cmd_chain, "generate a linear chain system", file=False)
     p.add_argument("--length", type=_positive_int, required=True, metavar="N",
-                   help="number of rules (N+1 symbols)")
+                   help=f"number of rules (N+1 symbols), at most {CHAIN_CAP}")
     p.add_argument("--prefix", default="s", help="symbol name prefix (default 's')")
     p.add_argument("--emit", action="store_true", help="print the .lgs document instead of a summary")
 

@@ -29,7 +29,7 @@ class ConseqError(Exception):
 # -- language construction ---------------------------------------------------
 
 class BadIdentifier(ConseqError):
-    """Symbol name is empty or contains whitespace or a reserved character."""
+    """Symbol name is not an identifier matching [A-Za-z0-9_]+."""
 
 
 class EmptyStandardPart(ConseqError):

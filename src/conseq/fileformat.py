@@ -7,10 +7,13 @@ A document is line-oriented UTF-8:
     nonstandard: l1 l2       zero or more names; lines repeat, cumulative
     rule: a1 l1 => b1        one or more premises, '=>' and one conclusion
 
-Names match [A-Za-z0-9_]+.  Declarations are gathered from the whole file
-before rules are validated, so declaration order does not matter.  All
-errors carry a 1-based line and column; arbitrary bytes never crash the
-parser, they produce a ParseError (invalid UTF-8 included).
+Names match [A-Za-z0-9_]+, the grammar `Symbol` itself enforces, so any
+system the library can build renders to a document that parses back to it,
+and a leading '*' in set syntax can never be part of a name.  Declarations
+are gathered from the whole file before rules are validated, so
+declaration order does not matter.  All errors carry a 1-based line and
+column; arbitrary bytes never crash the parser, they produce a ParseError
+(invalid UTF-8 included).
 
 Canonical rendering emits one declaration line per sort with names sorted
 lexicographically (the nonstandard line is dropped when empty), then the
@@ -31,9 +34,8 @@ from .errors import (
     ParseError,
     UnknownSymbol,
 )
-from .model import Language, LogicSystem, Rule, Sort, Symbol
+from .model import NAME_RE, Language, LogicSystem, Rule, Sort, Symbol
 
-NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 TOKEN_RE = re.compile(r"\S+")
 KEYWORDS = ("standard", "nonstandard", "rule")
 

@@ -17,13 +17,18 @@ universe:
 Monotonicity is decided on covering pairs (X, X + {a}) only: any X within Y
 is a chain of single-element extensions, so inclusion on covering pairs is
 equivalent to inclusion on all pairs and drops the cost from 3^n to n*2^n.
-The finitary union is accumulated by the same one-element recursion, which
-enumerates every subset's contribution exactly once.
+The finitary union, the rules a mask matches, and the conclusions a system
+fires from a mask are all ORs over the keys inside the mask; one subset
+(zeta) transform, `_subset_or`, computes each for every mask in n*2^n steps.
+A table's closures then follow from its one-pass table in a single sweep
+(`_fixpoints`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import or_
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -86,7 +91,7 @@ class OperatorTable:
             images.append(image)
         return cls(syms, tuple(images))
 
-    @property
+    @cached_property
     def _bit(self) -> dict[Symbol, int]:
         return {s: 1 << i for i, s in enumerate(self.universe)}
 
@@ -160,7 +165,8 @@ class TableComparison:
         return self.equal
 
 
-def _rule_masks(system: LogicSystem, bit: dict[Symbol, int]) -> list[tuple[int, int]]:
+def _rule_masks(system: LogicSystem, syms: tuple[Symbol, ...]) -> list[tuple[int, int]]:
+    bit = {s: 1 << i for i, s in enumerate(syms)}
     masks = []
     for rule in system.rules:
         pm = 0
@@ -170,22 +176,48 @@ def _rule_masks(system: LogicSystem, bit: dict[Symbol, int]) -> list[tuple[int, 
     return masks
 
 
-def _closure_images(n: int, rule_masks: list[tuple[int, int]]) -> list[int]:
-    """Fixpoint images for every subset mask, by repeated full passes."""
-    images = []
-    for mask in range(1 << n):
-        cur = mask
-        while True:
-            add = 0
-            for pm, cb in rule_masks:
-                if cur & pm == pm:
-                    add |= cb
-            nxt = cur | add
-            if nxt == cur:
-                break
-            cur = nxt
-        images.append(cur)
-    return images
+def _subset_or(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """out[m] = OR of v over every (key, v) in `pairs` whose key lies inside m.
+
+    Seeds each key with its values, then one pass per bit b folds out[m ^ b]
+    into out[m] for every m holding b: the subset (zeta) transform.  Those
+    masks form runs of length b, one every 2b, so each pass ORs whole slices:
+    one per run when runs are long, one per offset within a run when short.
+    """
+    full = 1 << n
+    out = [0] * full
+    for key, v in pairs:
+        out[key] |= v
+    for i in range(n):
+        b = 1 << i
+        stride = b << 1
+        if b * b < full:
+            for j in range(b, stride):
+                out[j::stride] = map(or_, out[j::stride], out[j - b::stride])
+        else:
+            for run in range(b, full, stride):
+                out[run:run + b] = map(or_, out[run:run + b], out[run - b:run])
+    return out
+
+
+def _step_table(n: int, rule_masks: list[tuple[int, int]]) -> list[int]:
+    """step[m] = m plus the conclusion of every rule whose premises lie in m.
+
+    Each symbol counts as a rule deriving itself, which supplies the m.
+    """
+    return _subset_or(n, [*rule_masks, *((1 << i, 1 << i) for i in range(n))])
+
+
+def _fixpoints(step: Iterable[int]) -> tuple[int, ...]:
+    """The least fixpoint of the step above every mask.
+
+    Iterating the step from m passes through step[m], which is m itself or
+    a larger mask, so the fixpoints settle in one pass from the top down.
+    """
+    images = list(step)
+    for m in reversed(range(len(images))):
+        images[m] = images[images[m]]
+    return tuple(images)
 
 
 def tabulate(system: LogicSystem, universe: Iterable[Symbol]) -> OperatorTable:
@@ -207,9 +239,7 @@ def tabulate(system: LogicSystem, universe: Iterable[Symbol]) -> OperatorTable:
     if outside:
         name = sorted(outside, key=symbol_key)[0].name
         raise LanguageMismatch(f"universe symbol {name!r} is not in the system's language")
-    bit = {s: 1 << i for i, s in enumerate(syms)}
-    images = _closure_images(n, _rule_masks(system, bit))
-    return OperatorTable(syms, tuple(images))
+    return OperatorTable(syms, _fixpoints(_step_table(n, _rule_masks(system, syms))))
 
 
 def check_axioms(table: OperatorTable) -> LawReport:
@@ -250,21 +280,13 @@ def check_axioms(table: OperatorTable) -> LawReport:
             break
     results.append(LawResult("monotonicity", witness is None, witness, checked))
 
-    # union[m] = OR of images over all submasks of m, built by one-element
-    # recursion so each subset contributes exactly once
+    # union[m] = OR of images over all submasks of m
     witness = None
     checked = 0
-    union = [0] * full
+    union = _subset_or(n, enumerate(images))
     for m in range(full):
-        u = images[m]
-        rest = m
-        while rest:
-            low = rest & -rest
-            u |= union[m ^ low]
-            rest ^= low
-        union[m] = u
         checked += 1
-        if u != images[m]:
+        if union[m] != images[m]:
             bad = next(
                 z for z in range(m + 1) if z & m == z and images[z] & ~images[m]
             )
@@ -295,9 +317,12 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     rule count, never shrinks when X grows, and each rule's premise set
     closes to itself plus the conclusions of every rule sharing it.
 
-    Reverse: the operator built from the one-pass closed form alone is
-    tabulated independently; it must agree with the engine's table on every
-    subset and must itself satisfy the four closure-operator laws.
+    Reverse: the one-pass table (X plus the conclusions fired from X) must
+    satisfy the four closure-operator laws and equal the engine's table.
+    The engine's table is the fixpoints of that same one-pass table, so the
+    equality says that one pass is already a fixpoint, which is the
+    theorem's content.  That the engine's table matches the plain rule scan
+    of `close_naive` is checked by the tests, not here.
     """
     check = system.ternary_shape
     if not check:
@@ -306,22 +331,16 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     n = len(syms)
     if n > UNIVERSE_CAP:
         raise UniverseTooLarge(f"system uses {n} symbols; the cap is {UNIVERSE_CAP}")
-    bit = {s: 1 << i for i, s in enumerate(syms)}
-    rule_masks = _rule_masks(system, bit)
-    engine = tabulate(system, syms)
+    rule_masks = _rule_masks(system, syms)
+    one_pass = tuple(_step_table(n, rule_masks))
+    engine = OperatorTable(syms, _fixpoints(one_pass))
     images = engine.images
     full = 1 << n
 
     results = []
 
     # matched[m] = bitmask over rule indices whose premise set lies inside m
-    matched = []
-    for m in range(full):
-        mm = 0
-        for i, (pm, _) in enumerate(rule_masks):
-            if m & pm == pm:
-                mm |= 1 << i
-        matched.append(mm)
+    matched = _subset_or(n, ((pm, 1 << i) for i, (pm, _) in enumerate(rule_masks)))
 
     witness = None
     checked = 0
@@ -338,15 +357,7 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     for m in range(full):
         if matched[m]:
             checked += 1
-            expect = m
-            mm = matched[m]
-            i = 0
-            while mm:
-                if mm & 1:
-                    expect |= rule_masks[i][1]
-                mm >>= 1
-                i += 1
-            if images[m] != expect:
+            if images[m] != one_pass[m]:
                 witness = (engine.set_of(m),)
                 break
     results.append(LawResult("match-union", witness is None, witness, checked))
@@ -355,15 +366,7 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     # every rule sharing that premise set (several rules may share one)
     witness = None
     for pm, _ in rule_masks:
-        expect = pm
-        mm = matched[pm]
-        i = 0
-        while mm:
-            if mm & 1:
-                expect |= rule_masks[i][1]
-            mm >>= 1
-            i += 1
-        if images[pm] != expect:
+        if images[pm] != one_pass[pm]:
             witness = (engine.set_of(pm),)
             break
     results.append(LawResult("premise-set-values", witness is None, witness, len(rule_masks)))
@@ -385,15 +388,7 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
             break
     results.append(LawResult("matched-count", witness is None, witness, checked))
 
-    # reverse direction: one pass only, tabulated independently of the engine
-    cf_images = []
-    for m in range(full):
-        out = m
-        for pm, cb in rule_masks:
-            if m & pm == pm:
-                out |= cb
-        cf_images.append(out)
-    closed_form = OperatorTable(syms, tuple(cf_images))
+    closed_form = OperatorTable(syms, one_pass)
 
     cmp = equivalent(engine, closed_form)
     results.append(

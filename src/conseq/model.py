@@ -14,6 +14,7 @@ threads.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -27,7 +28,9 @@ from .errors import (
     UnknownSymbol,
 )
 
-RESERVED_CHARS = frozenset(",=>#:")
+# The one identifier grammar, shared with the .lgs format (fileformat.py):
+# every name a Symbol accepts renders to text that parses back to it.
+NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 class Sort(enum.Enum):
@@ -42,23 +45,16 @@ class Sort(enum.Enum):
 class Symbol:
     """An atomic identifier tagged with a sort.
 
-    Equality is by (name, sort).  Names are free-form identifiers: non-empty,
-    no whitespace, and none of the reserved characters ``, = > # :``.
+    Equality is by (name, sort).  Names match ``[A-Za-z0-9_]+`` (ASCII
+    letters, digits and underscores), the same grammar as the .lgs format.
     """
 
     name: str
     sort: Sort
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise BadIdentifier("symbol name must be a non-empty string")
-        if any(c.isspace() for c in self.name):
-            raise BadIdentifier(f"symbol name {self.name!r} contains whitespace")
-        bad = RESERVED_CHARS.intersection(self.name)
-        if bad:
-            raise BadIdentifier(
-                f"symbol name {self.name!r} contains reserved character {sorted(bad)[0]!r}"
-            )
+        if not isinstance(self.name, str) or not NAME_RE.fullmatch(self.name):
+            raise BadIdentifier(f"symbol name {self.name!r} does not match [A-Za-z0-9_]+")
         if not isinstance(self.sort, Sort):
             raise BadIdentifier(f"bad sort for symbol {self.name!r}: {self.sort!r}")
 

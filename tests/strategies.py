@@ -10,7 +10,7 @@ import random
 from hypothesis import strategies as st
 
 from conseq import LogicSystem, make_language, make_system
-from conseq.model import symbol_key
+from conseq.model import NAME_RE, symbol_key
 
 
 def _pool(system: LogicSystem):
@@ -33,6 +33,18 @@ def systems(draw, max_symbols=7, max_rules=6, min_arity=2, max_arity=4):
     )
     tuples = draw(st.lists(rule, min_size=1, max_size=max_rules))
     return make_system(lang, tuples)
+
+
+@st.composite
+def named_systems(draw, max_symbols=6, max_rules=5):
+    """Systems whose names are arbitrary identifiers of the name grammar."""
+    names = draw(
+        st.lists(st.from_regex(NAME_RE, fullmatch=True), min_size=2, max_size=max_symbols, unique=True)
+    )
+    n_std = draw(st.integers(1, len(names) - 1))
+    lang = make_language(names[:n_std], names[n_std:])
+    rule = st.tuples(st.lists(st.sampled_from(names), min_size=1, max_size=3), st.sampled_from(names))
+    return make_system(lang, draw(st.lists(rule, min_size=1, max_size=max_rules)))
 
 
 @st.composite

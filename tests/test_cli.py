@@ -8,7 +8,8 @@ property that failed.
 import pytest
 
 from conseq import OperatorTable, Sort, Symbol, check_axioms, parse_system
-from conseq.cli import main
+from conseq import cli
+from conseq.cli import CHAIN_CAP, main
 
 NEG = (
     "standard: a1 b1 b2\n"
@@ -225,6 +226,24 @@ def test_chain_rejects_bad_length(capsys):
     code, _, err = run(capsys, "chain", "--length", "0")
     assert code == 1
     assert "at least 1" in err
+
+
+def test_chain_rejects_length_over_the_cap(capsys, monkeypatch):
+    def no_symbols(*args):
+        raise AssertionError("a symbol was built")
+
+    monkeypatch.setattr(cli, "Symbol", no_symbols)
+    code, out, err = run(capsys, "chain", "--length", str(CHAIN_CAP + 1))
+    assert code == 1
+    assert out == ""
+    assert f"cap of {CHAIN_CAP}" in err
+
+
+def test_chain_rejects_prefix_outside_the_name_grammar(capsys):
+    code, out, err = run(capsys, "chain", "--length", "2", "--prefix", "a-b", "--emit")
+    assert code == 1
+    assert out == ""
+    assert "'a-b0'" in err
 
 
 def test_canon_is_idempotent(write, capsys):

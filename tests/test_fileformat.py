@@ -8,14 +8,17 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conseq import (
+    BadIdentifier,
     ConseqError,
     EmptyStandardPart,
     EmptySystem,
     NameCollision,
     ParseError,
     Sort,
+    Symbol,
     UnknownSymbol,
     is_mixed_ternary,
     parse_set,
@@ -23,8 +26,9 @@ from conseq import (
     render_set,
     render_system,
     make_language,
+    make_system,
 )
-from strategies import systems
+from strategies import named_systems, system_inputs, systems
 
 BASIC = "standard: a1 b1\nnonstandard: l1\nrule: a1 l1 => b1\n"
 
@@ -140,12 +144,33 @@ def test_round_trip_examples():
         assert again.system == doc.system
 
 
-@given(systems())
+@given(st.one_of(systems(), named_systems()))
 def test_round_trip_generated_systems(system):
     doc = parse_system(render_system(system))
     assert doc.language == system.language
     assert doc.system == system
     assert render_system(doc) == render_system(system)
+
+
+@given(named_systems(), st.data())
+def test_set_round_trip_with_arbitrary_names(system, data):
+    members = data.draw(system_inputs(system))
+    assert parse_set(render_set(members), system.language) == members
+
+
+@given(st.text(max_size=6), st.sampled_from(Sort))
+def test_every_constructible_name_survives_the_text_format(name, sort):
+    """Any name a Symbol accepts, of either sort, renders and parses back."""
+    try:
+        symbol = Symbol(name, sort)
+    except BadIdentifier:
+        return
+    other = "x" + name
+    std, non = ({name, other}, set()) if sort is Sort.STANDARD else ({other}, {name})
+    system = make_system(make_language(std, non), [((name,), other)])
+    doc = parse_system(render_system(system))
+    assert doc.system == system
+    assert parse_set(render_set({symbol}), doc.language) == {symbol}
 
 
 def test_render_set_orders_and_marks_sorts():

@@ -6,8 +6,12 @@ branches are exercised with hand-built violating tables; every reported
 witness is re-checked against the table it came from.
 """
 
+import functools
+import operator
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conseq import (
     LanguageMismatch,
@@ -20,6 +24,7 @@ from conseq import (
     UniverseTooLarge,
     check_axioms,
     close,
+    close_naive,
     equivalent,
     make_language,
     make_system,
@@ -158,12 +163,71 @@ def test_monotonicity_and_finitary_failures_have_witnesses():
     small, big = mono.witness
     assert small < big
     assert not table.image(small) <= table.image(big)
+    assert mono.checked == 4
+    assert mono.witness == (frozenset({X}), frozenset({X, Y}))
 
     fin = result_by_law(report, "finitary")
     assert not fin.passed
     whole, part = fin.witness
     assert part < whole
     assert not table.image(part) <= table.image(whole)
+    assert fin.checked == 4
+    assert fin.witness == (frozenset({X, Y}), frozenset({X}))
+
+
+W = tuple(Symbol(name, Sort.STANDARD) for name in "wxyz")
+W_SUBSETS = [frozenset(s for i, s in enumerate(W) if m >> i & 1) for m in range(16)]
+
+
+@st.composite
+def w_tables(draw):
+    """Image masks of an arbitrary table over W, or of a monotone one with a
+    single entry changed, so that a first failure can sit at any subset."""
+    images = draw(st.lists(st.integers(0, 15), min_size=16, max_size=16))
+    if draw(st.booleans()):
+        images = [
+            functools.reduce(operator.or_, (images[z] for z in range(m + 1) if z & m == z))
+            for m in range(16)
+        ]
+        images[draw(st.integers(0, 15))] ^= 1 << draw(st.integers(0, 3))
+    return images
+
+
+@given(w_tables())
+def test_monotonicity_and_finitary_verdicts_match_their_definitions(images):
+    image = {x: W_SUBSETS[im] for x, im in zip(W_SUBSETS, images)}
+    report = check_axioms(OperatorTable.from_function(W, image.__getitem__))
+
+    # monotonicity holds iff images nest on every pair X within Y; the check
+    # walks covering pairs (X, X + {a}), X in bitmask order, a in universe order
+    mono = result_by_law(report, "monotonicity")
+    assert mono.passed == all(image[x] <= image[y] for x in W_SUBSETS for y in W_SUBSETS if x <= y)
+    pairs = [(x, x | {a}) for x in W_SUBSETS for a in W if a not in x]
+    bad = [i for i, (x, y) in enumerate(pairs) if not image[x] <= image[y]]
+    assert mono.checked == (bad[0] + 1 if bad else len(pairs))
+    assert mono.witness == (pairs[bad[0]] if bad else None)
+
+    # finitary: T(X) is the union of T(Z) over all Z within X; the witness
+    # pairs the first failing X with its first subset whose image escapes T(X)
+    fin = result_by_law(report, "finitary")
+    bad = [
+        x for x in W_SUBSETS
+        if image[x] != frozenset().union(*(image[z] for z in W_SUBSETS if z <= x))
+    ]
+    assert fin.passed == (not bad)
+    assert fin.checked == (W_SUBSETS.index(bad[0]) + 1 if bad else 16)
+    if bad:
+        part = next(z for z in W_SUBSETS if z <= bad[0] and not image[z] <= image[bad[0]])
+        assert fin.witness == (bad[0], part)
+    else:
+        assert fin.witness is None
+
+
+@given(systems(max_symbols=6))
+def test_tabulate_matches_the_naive_oracle(system):
+    table = tabulate(system, system.language.symbols)
+    for subset in table.subsets():
+        assert table.image(subset) == close_naive(system, subset)
 
 
 @given(systems(max_symbols=6))

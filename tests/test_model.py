@@ -54,7 +54,9 @@ def test_resolve_unknown_name():
         lang.resolve("zz")
 
 
-@pytest.mark.parametrize("name", ["", "a b", "a,b", "a=b", "a>b", "a#b", "a:b", "a\tb"])
+@pytest.mark.parametrize(
+    "name", ["", "a b", "a,b", "a=b", "a>b", "a#b", "a:b", "a\tb", "a-b", "é", "x*", "*b1"]
+)
 def test_symbol_rejects_bad_names(name):
     with pytest.raises(BadIdentifier):
         Symbol(name, Sort.STANDARD)
