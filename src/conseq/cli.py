@@ -67,10 +67,6 @@ def _emit(args: argparse.Namespace, human: str, **fields) -> None:
         print(human)
 
 
-def _braces(members) -> str:
-    return "{" + render_set(members) + "}"
-
-
 def _emit_report(args: argparse.Namespace, report: LawReport) -> int:
     for result in report:
         fields = {
@@ -78,13 +74,9 @@ def _emit_report(args: argparse.Namespace, report: LawReport) -> int:
             "status": "pass" if result.passed else "fail",
             "checked": result.checked,
         }
-        if result.passed:
-            human = f"{result.law}: pass ({result.checked} checks)"
-        else:
-            witness = " ".join(_braces(w) for w in result.witness)
+        if not result.passed:
             fields["witness"] = ";".join(render_set(w) for w in result.witness)
-            human = f"{result.law}: FAIL at {witness} ({result.checked} checks)"
-        _emit(args, human, **fields)
+        _emit(args, str(result), **fields)
     return 0 if report.ok else 2
 
 

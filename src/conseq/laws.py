@@ -14,14 +14,14 @@ universe:
 * monotonicity   X subset of Y  implies  T(X) subset of T(Y)
 * finitary       T(X) = union of T(Z) over all Z subset of X
 
-Monotonicity is decided on covering pairs (X, X + {a}) only: any X within Y
-is a chain of single-element extensions, so inclusion on covering pairs is
-equivalent to inclusion on all pairs and drops the cost from 3^n to n*2^n.
 The finitary union, the rules a mask matches, and the conclusions a system
 fires from a mask are all ORs over the keys inside the mask; one subset
 (zeta) transform, `_subset_or`, computes each for every mask in n*2^n steps.
 A table's closures then follow from its one-pass table in a single sweep
-(`_fixpoints`).
+(`_fixpoints`).  Over a finite universe a table is monotone exactly when it
+equals its finitary union, so one list comparison decides both laws.  The
+walk over covering pairs (X, X + {a}), which `checked` counts, runs only when
+that comparison fails, to find the first witness (`_covering_pairs`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import or_
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     LanguageMismatch,
@@ -38,6 +38,7 @@ from .errors import (
     UniverseMismatch,
     UniverseTooLarge,
 )
+from .fileformat import render_set
 from .model import LogicSystem, Symbol, symbol_key
 
 UNIVERSE_CAP = 16
@@ -129,7 +130,7 @@ class LawResult:
     def __str__(self) -> str:
         if self.passed:
             return f"{self.law}: pass ({self.checked} checks)"
-        parts = " ; ".join("{" + ",".join(sorted(s.name for s in w)) + "}" for w in self.witness)
+        parts = " ".join("{" + render_set(w) + "}" for w in self.witness)
         return f"{self.law}: FAIL at {parts} ({self.checked} checks)"
 
 
@@ -220,6 +221,29 @@ def _fixpoints(step: Iterable[int]) -> tuple[int, ...]:
     return tuple(images)
 
 
+def _covering_pairs(
+    n: int, images: Sequence[int], union: list[int]
+) -> tuple[int, tuple[int, int] | None]:
+    """Check images[m] within images[m + b] on every covering pair, m
+    ascending, then bit b; return the pairs checked and the first failure.
+
+    `union` is `_subset_or(n, enumerate(images))`.  It equals the images
+    exactly when they are monotone, and then all n*2^(n-1) pairs hold, so
+    the walk runs only to find the first failing pair.
+    """
+    if union == list(images):
+        return n * (1 << n) >> 1, None
+    checked = 0
+    for m, im in enumerate(images):
+        for i in range(n):
+            b = 1 << i
+            if not m & b:
+                checked += 1
+                if im & ~images[m | b]:
+                    return checked, (m, m | b)
+    return checked, None
+
+
 def tabulate(system: LogicSystem, universe: Iterable[Symbol]) -> OperatorTable:
     """Extensional table of the generated operator over `universe`.
 
@@ -264,34 +288,20 @@ def check_axioms(table: OperatorTable) -> LawReport:
             break
     results.append(LawResult("idempotence", witness is None, witness, full))
 
-    witness = None
-    checked = 0
-    for m in range(full):
-        im = images[m]
-        for i in range(n):
-            b = 1 << i
-            if m & b:
-                continue
-            checked += 1
-            if im & ~images[m | b]:
-                witness = (table.set_of(m), table.set_of(m | b))
-                break
-        if witness:
-            break
-    results.append(LawResult("monotonicity", witness is None, witness, checked))
-
-    # union[m] = OR of images over all submasks of m
-    witness = None
-    checked = 0
+    # union[m] = OR of images over all submasks of m; both laws hold iff it
+    # equals the images
     union = _subset_or(n, enumerate(images))
-    for m in range(full):
-        checked += 1
-        if union[m] != images[m]:
-            bad = next(
-                z for z in range(m + 1) if z & m == z and images[z] & ~images[m]
-            )
-            witness = (table.set_of(m), table.set_of(bad))
-            break
+    checked, pair = _covering_pairs(n, images, union)
+    witness = pair and tuple(map(table.set_of, pair))
+    results.append(LawResult("monotonicity", pair is None, witness, checked))
+
+    witness = None
+    checked = full
+    if pair:
+        m = next(m for m in range(full) if union[m] != images[m])
+        bad = next(z for z in range(m + 1) if z & m == z and images[z] & ~images[m])
+        witness = (table.set_of(m), table.set_of(bad))
+        checked = m + 1
     results.append(LawResult("finitary", witness is None, witness, checked))
 
     return LawReport(tuple(results))
@@ -371,22 +381,11 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
             break
     results.append(LawResult("premise-set-values", witness is None, witness, len(rule_masks)))
 
-    # matched-rule sets grow with X; checked on covering pairs, with the
-    # count bound m <= n implicit in the representation
-    witness = None
-    checked = 0
-    for m in range(full):
-        for i in range(n):
-            b = 1 << i
-            if m & b:
-                continue
-            checked += 1
-            if matched[m] & ~matched[m | b]:
-                witness = (engine.set_of(m), engine.set_of(m | b))
-                break
-        if witness:
-            break
-    results.append(LawResult("matched-count", witness is None, witness, checked))
+    # matched-rule sets grow with X, with the count bound m <= n implicit in
+    # the representation
+    checked, pair = _covering_pairs(n, matched, _subset_or(n, enumerate(matched)))
+    witness = pair and tuple(map(engine.set_of, pair))
+    results.append(LawResult("matched-count", pair is None, witness, checked))
 
     closed_form = OperatorTable(syms, one_pass)
 

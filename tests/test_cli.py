@@ -143,6 +143,19 @@ def test_check_failure_records_carry_witness(write, capsys, monkeypatch):
     assert "witness=x" in out
 
 
+def test_check_prints_each_verdict_as_its_str(write, capsys, monkeypatch):
+    l, y = Symbol("l", Sort.NONSTANDARD), Symbol("y", Sort.STANDARD)
+    drop = {frozenset({l, y}): frozenset({y})}
+    broken = OperatorTable.from_function((l, y), lambda s: drop.get(s, s))
+    report = check_axioms(broken)
+
+    monkeypatch.setattr("conseq.cli.tabulate", lambda system, universe: broken)
+    code, out, _ = run(capsys, "check", write(NEG))
+    assert code == 2
+    assert out.splitlines() == [str(r) for r in report]
+    assert "monotonicity: FAIL at {*l} {*l,y} (3 checks)" in out
+
+
 def test_verify_subcommand_passes_on_ternary(write, capsys):
     code, out, _ = run(capsys, "verify-thm23", write(TERNARY))
     assert code == 0

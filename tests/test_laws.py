@@ -175,6 +175,32 @@ def test_monotonicity_and_finitary_failures_have_witnesses():
     assert fin.witness == (frozenset({X, Y}), frozenset({X}))
 
 
+def test_laws_on_the_smallest_universes():
+    def rows(table):
+        return [(r.law, r.passed, r.checked, r.witness) for r in check_axioms(table)]
+
+    assert rows(OperatorTable.from_function((), lambda s: s)) == [
+        ("insertion", True, 1, None),
+        ("idempotence", True, 1, None),
+        ("monotonicity", True, 0, None),
+        ("finitary", True, 1, None),
+    ]
+    assert rows(OperatorTable.from_function((X,), lambda s: s)) == [
+        ("insertion", True, 2, None),
+        ("idempotence", True, 2, None),
+        ("monotonicity", True, 1, None),
+        ("finitary", True, 2, None),
+    ]
+    flip = OperatorTable.from_function((X,), lambda s: frozenset() if s else {X})
+    empty, x = frozenset(), frozenset({X})
+    assert rows(flip) == [
+        ("insertion", False, 2, (x,)),
+        ("idempotence", False, 2, (empty,)),
+        ("monotonicity", False, 1, (empty, x)),
+        ("finitary", False, 2, (x, empty)),
+    ]
+
+
 W = tuple(Symbol(name, Sort.STANDARD) for name in "wxyz")
 W_SUBSETS = [frozenset(s for i, s in enumerate(W) if m >> i & 1) for m in range(16)]
 
@@ -309,6 +335,15 @@ def test_characterization_handles_shared_premise_pairs():
 def test_characterization_passes_on_random_systems(system):
     report = verify_closed_form_characterization(system)
     assert report.ok, [str(r) for r in report.failures]
+
+    n = len(system.symbols)
+    by_law = {r.law: r.checked for r in report}
+    pairs = n * 2 ** (n - 1)
+    assert by_law["matched-count"] == pairs
+    assert by_law["closed-form-monotonicity"] == pairs
+    assert by_law["closed-form-agreement"] == 2 ** n
+    assert by_law["no-match-fixed"] + by_law["match-union"] == 2 ** n
+    assert by_law["premise-set-values"] == len(system)
 
 
 @settings(max_examples=50)
