@@ -10,6 +10,9 @@ process.  Both evaluation strategies live here:
 * `close` is semi-naive: each symbol is processed once, decrementing a
   per-rule count of still-missing premises, so only rules that just gained a
   premise are re-examined.  Runtime is linear in total premise occurrences.
+  It runs on the integer ids a `LogicSystem` compiles at construction (a
+  CSR premise index and per-rule counts), marks seen symbols in a
+  bytearray, and builds `Symbol`s only for the result.
 
 For systems whose premise symbols never occur as conclusions, a fired
 conclusion can never enable another rule, so a single pass already reaches
@@ -63,22 +66,22 @@ def close(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
     equals `close_naive`.
     """
     x = _deduction_set(system, members)
-    index = system.premise_index
-    rules = system.rules
+    offsets, premise_rules, conclusions = system._offsets, system._premise_rules, system._conclusions
     need = list(system.premise_counts)
-    result = set(x)
-    queue = [s for s in x if s in index]
-    while queue:
-        s = queue.pop()
-        for i in index[s]:
+    seen = bytearray(len(system._symbols))
+    queue = list(map(system._ids.__getitem__, x))
+    for s in queue:
+        seen[s] = 1
+    # the loop visits the ids it appends: each derived symbol once
+    for s in queue:
+        for i in premise_rules[offsets[s] : offsets[s + 1]]:
             need[i] -= 1
-            if need[i] == 0:
-                c = rules[i].conclusion
-                if c not in result:
-                    result.add(c)
-                    if c in index:
-                        queue.append(c)
-    return frozenset(result)
+            if not need[i]:
+                c = conclusions[i]
+                if not seen[c]:
+                    seen[c] = 1
+                    queue.append(c)
+    return x.union(map(system._symbols.__getitem__, queue[len(x) :]))
 
 
 def close_naive(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
@@ -109,7 +112,7 @@ def _one_pass(system: LogicSystem, x: DeductionSet) -> DeductionSet:
     rule is looked at once at most.
     """
     index = system.first_premise_index
-    return x | {r.conclusion for s in x for r in index.get(s, ()) if r.premise_set <= x}
+    return x | {c for s in x for premises, c in index.get(s, ()) if premises <= x}
 
 
 def closed_form_ternary(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:

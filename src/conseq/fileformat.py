@@ -63,165 +63,137 @@ def _decode(data: bytes) -> str:
         ) from None
 
 
-def _tokens(payload: str, lineno: int, offset: int) -> list[tuple[str, int]]:
-    """Whitespace-separated tokens of a directive payload with 1-based cols."""
-    out = []
-    for m in TOKEN_RE.finditer(payload):
-        out.append((m.group(), offset + m.start() + 1))
-    return out
+def _columns(line: str, start: int) -> list[int]:
+    """1-based columns of the whitespace-separated tokens of line[start:].
+    Only an error needs a column, so the parser works them out only then."""
+    return [m.start() + 1 for m in TOKEN_RE.finditer(line, start)]
 
 
-def _require_name(token: str, lineno: int, col: int) -> str:
-    if not NAME_RE.fullmatch(token):
-        raise ParseError(
-            f"bad name {token!r}",
-            line=lineno,
-            col=col,
-            expected="identifier ([A-Za-z0-9_]+)",
-        )
-    return token
+def _rule_columns(line: str) -> list[int]:
+    """Columns of a well-formed rule line's names: premises, then conclusion."""
+    cols = _columns(line, line.index(":") + 1)
+    del cols[-2]  # the '=>'
+    return cols
+
+
+def _end(line: str) -> int:
+    """The column just past the end of a line."""
+    return len(line.rstrip("\r")) + 1
+
+
+def _first_bad_name(names: list[str]) -> int | None:
+    """Index of the first of `names` that is not an identifier, or None."""
+    if not names or NAME_RE.fullmatch("".join(names)):
+        return None
+    return next(j for j, name in enumerate(names) if not NAME_RE.fullmatch(name))
+
+
+def _bad_name(name: str, lineno: int, col: int) -> ParseError:
+    return ParseError(f"bad name {name!r}", line=lineno, col=col, expected="identifier ([A-Za-z0-9_]+)")
+
+
+def _not_a_directive(line: str, lineno: int) -> None:
+    """Return for a blank or comment line; raise for any other line that does
+    not start with a known directive and a colon."""
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return
+    indent = len(line) - len(line.lstrip())
+    m = NAME_RE.match(line, indent)
+    if not m:
+        raise ParseError(f"unexpected character {line[indent]!r}", line=lineno, col=indent + 1,
+                         expected="directive (standard:, nonstandard:, or rule:)")
+    keyword = m.group()
+    after = m.end()
+    while after < len(line) and line[after] in " \t":
+        after += 1
+    if after >= len(line) or line[after] != ":":
+        raise ParseError(f"directive {keyword!r} is not followed by a colon", line=lineno,
+                         col=after + 1, expected="':'")
+    # a well-formed directive that the caller did not accept
+    raise ParseError(f"unknown directive {keyword!r}", line=lineno, col=indent + 1,
+                     expected="one of standard, nonstandard, rule")
 
 
 def parse_system(text: str | bytes, source_name: str = "<string>") -> SystemDocument:
-    """Parse .lgs text (or raw bytes) into a validated document."""
+    """Parse .lgs text (or raw bytes) into a validated document.
+
+    The first pass splits each directive's payload with `str.split` and
+    checks all of its names with one regex match; the second resolves each
+    rule name through the declaration table.  Columns are worked out only
+    for an error.
+    """
     if isinstance(text, bytes):
         text = _decode(text)
-    declared: dict[str, tuple[Sort, int, int]] = {}
-    # rule occurrences: (line, [(name, col), ...] premises, (name, col) conclusion)
-    rule_lines: list[tuple[int, list[tuple[str, int]], tuple[str, int]]] = []
+    lines = text.split("\n")
+    declared: dict[str, tuple[Sort, int]] = {}  # name -> (sort, first line)
+    rule_lines: list[tuple[int, list[str]]] = []  # (line, premise names + conclusion)
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for lineno, raw in enumerate(lines, start=1):
+        head, colon, payload = raw.partition(":")
+        keyword = head.lstrip().rstrip(" \t")
+        if not colon or keyword not in KEYWORDS:
+            _not_a_directive(raw.rstrip("\r"), lineno)
             continue
-        indent = len(line) - len(line.lstrip())
-        m = NAME_RE.match(line, indent)
-        if not m:
-            raise ParseError(
-                f"unexpected character {line[indent]!r}",
-                line=lineno,
-                col=indent + 1,
-                expected="directive (standard:, nonstandard:, or rule:)",
-            )
-        keyword = m.group()
-        after = m.end()
-        while after < len(line) and line[after] in " \t":
-            after += 1
-        if after >= len(line) or line[after] != ":":
-            raise ParseError(
-                f"directive {keyword!r} is not followed by a colon",
-                line=lineno,
-                col=after + 1,
-                expected="':'",
-            )
-        if keyword not in KEYWORDS:
-            raise ParseError(
-                f"unknown directive {keyword!r}",
-                line=lineno,
-                col=indent + 1,
-                expected="one of standard, nonstandard, rule",
-            )
-        payload = line[after + 1 :]
-        tokens = _tokens(payload, lineno, after + 1)
+        start = len(head) + 1
+        tokens = payload.split()
 
-        if keyword in ("standard", "nonstandard"):
+        if keyword != "rule":
             sort = Sort.STANDARD if keyword == "standard" else Sort.NONSTANDARD
-            if keyword == "standard" and not tokens:
-                raise ParseError(
-                    "empty standard declaration",
-                    line=lineno,
-                    col=len(line) + 1,
-                    expected="at least one symbol name",
-                )
-            for token, col in tokens:
-                name = _require_name(token, lineno, col)
-                prior = declared.get(name)
-                if prior is not None and prior[0] is not sort:
+            if sort is Sort.STANDARD and not tokens:
+                raise ParseError("empty standard declaration", line=lineno, col=_end(raw),
+                                 expected="at least one symbol name")
+            bad = _first_bad_name(tokens)
+            for name in tokens[:bad]:
+                prior = declared.setdefault(name, (sort, lineno))
+                if prior[0] is not sort:
                     raise NameCollision(
-                        f"name {name!r} is declared in both sorts "
-                        f"(first at line {prior[1]})",
-                        line=lineno,
-                        col=col,
-                    )
-                if prior is None:
-                    declared[name] = (sort, lineno, col)
-        else:
-            arrows = [i for i, (tok, _) in enumerate(tokens) if tok == "=>"]
-            if not arrows:
-                raise ParseError(
-                    "rule has no '=>'",
-                    line=lineno,
-                    col=len(line) + 1,
-                    expected="'=>'",
-                )
-            k = arrows[0]
-            if len(arrows) > 1:
-                raise ParseError(
-                    "rule has more than one '=>'",
-                    line=lineno,
-                    col=tokens[arrows[1]][1],
-                    expected="a single '=>'",
-                )
-            if k == 0:
-                raise ParseError(
-                    "rule has no premises",
-                    line=lineno,
-                    col=tokens[0][1],
-                    expected="at least one premise before '=>'",
-                )
-            after_arrow = tokens[k + 1 :]
-            if not after_arrow:
-                raise ParseError(
-                    "rule has no conclusion",
-                    line=lineno,
-                    col=len(line) + 1,
-                    expected="conclusion symbol",
-                )
-            if len(after_arrow) > 1:
-                raise ParseError(
-                    "rule has more than one conclusion",
-                    line=lineno,
-                    col=after_arrow[1][1],
-                    expected="end of line after conclusion",
-                )
-            premises = [
-                (_require_name(tok, lineno, col), col) for tok, col in tokens[:k]
-            ]
-            ctok, ccol = after_arrow[0]
-            conclusion = (_require_name(ctok, lineno, ccol), ccol)
-            rule_lines.append((lineno, premises, conclusion))
+                        f"name {name!r} is declared in both sorts (first at line {prior[1]})",
+                        line=lineno, col=_columns(raw, start)[tokens.index(name)])
+            if bad is not None:
+                raise _bad_name(tokens[bad], lineno, _columns(raw, start)[bad])
+            continue
 
-    # resolve rule symbols against the gathered declarations, in file order
-    for lineno, premises, conclusion in rule_lines:
-        for name, col in [*premises, conclusion]:
-            if name not in declared:
-                raise UnknownSymbol(
-                    f"unknown symbol {name!r}", line=lineno, col=col
-                )
+        arrows = tokens.count("=>")
+        if not arrows:
+            raise ParseError("rule has no '=>'", line=lineno, col=_end(raw), expected="'=>'")
+        k = tokens.index("=>")
+        if arrows > 1:
+            raise ParseError("rule has more than one '=>'", line=lineno,
+                             col=_columns(raw, start)[tokens.index("=>", k + 1)], expected="a single '=>'")
+        if k == 0:
+            raise ParseError("rule has no premises", line=lineno, col=_columns(raw, start)[0],
+                             expected="at least one premise before '=>'")
+        if k + 1 == len(tokens):
+            raise ParseError("rule has no conclusion", line=lineno, col=_end(raw), expected="conclusion symbol")
+        if k + 2 < len(tokens):
+            raise ParseError("rule has more than one conclusion", line=lineno,
+                             col=_columns(raw, start)[k + 2], expected="end of line after conclusion")
+        del tokens[k]
+        bad = _first_bad_name(tokens)
+        if bad is not None:
+            raise _bad_name(tokens[bad], lineno, _rule_columns(raw)[bad])
+        rule_lines.append((lineno, tokens))
 
-    std = {n for n, (sort, _, _) in declared.items() if sort is Sort.STANDARD}
-    non = {n for n, (sort, _, _) in declared.items() if sort is Sort.NONSTANDARD}
+    # resolve rule names against the gathered declarations, in file order
+    symbol_of = {name: Symbol(name, sort) for name, (sort, _) in declared.items()}
+    line_map: dict[Rule, int] = {}
+    for lineno, names in rule_lines:
+        try:
+            *premises, conclusion = map(symbol_of.__getitem__, names)
+        except KeyError as e:
+            col = _rule_columns(lines[lineno - 1])[names.index(e.args[0])]
+            raise UnknownSymbol(f"unknown symbol {e.args[0]!r}", line=lineno, col=col) from None
+        line_map.setdefault(Rule(tuple(premises), conclusion), lineno)
+
+    std = frozenset(s for s in symbol_of.values() if s.sort is Sort.STANDARD)
     if not std:
         # a document-level condition; anchored at the start for uniformity
         raise EmptyStandardPart("document declares no standard symbols", line=1, col=1)
-    language = Language(
-        frozenset(Symbol(n, Sort.STANDARD) for n in std),
-        frozenset(Symbol(n, Sort.NONSTANDARD) for n in non),
-    )
-    if not rule_lines:
+    language = Language(std, frozenset(symbol_of.values()) - std)
+    if not line_map:
         raise EmptySystem("document contains no rules", line=1, col=1)
-
-    line_map: dict[Rule, int] = {}
-    rules = []
-    for lineno, premises, conclusion in rule_lines:
-        rule = Rule(
-            tuple(language.resolve(n) for n, _ in premises),
-            language.resolve(conclusion[0]),
-        )
-        rules.append(rule)
-        line_map.setdefault(rule, lineno)
-    system = LogicSystem(language, tuple(rules))
+    system = LogicSystem(language, tuple(line_map))
     return SystemDocument(source_name, language, system, line_map)
 
 

@@ -50,9 +50,10 @@ def _require_symbol(system: LogicSystem, s: Symbol) -> None:
 
 
 def _require_uniform_arity(system: LogicSystem, arity: int, label: str) -> None:
-    for rule in system.rules:
-        if rule.arity != arity:
-            raise PreconditionViolated(f"rule ({rule}) is not {label}")
+    # O(1) when it passes; a failing check scans to name the first bad rule
+    if system._arities != {arity}:
+        rule = next(r for r in system.rules if r.arity != arity)
+        raise PreconditionViolated(f"rule ({rule}) is not {label}")
 
 
 def matched_rules_ternary(system: LogicSystem, a: Symbol, b: Symbol) -> tuple[Rule, ...]:

@@ -67,9 +67,9 @@ class OperatorTable:
         full = 1 << n
         if len(self.images) != full:
             raise ValueError(f"expected {full} images, got {len(self.images)}")
-        for m, im in enumerate(self.images):
-            if not 0 <= im < full:
-                raise ValueError(f"image of mask {m} leaves the universe")
+        if min(self.images) < 0 or max(self.images) >= full:
+            m = next(m for m, im in enumerate(self.images) if not 0 <= im < full)
+            raise ValueError(f"image of mask {m} leaves the universe")
 
     @classmethod
     def from_function(
@@ -171,7 +171,7 @@ def _rule_masks(system: LogicSystem, syms: tuple[Symbol, ...]) -> list[tuple[int
     masks = []
     for rule in system.rules:
         pm = 0
-        for p in rule.premise_set:
+        for p in rule.premises:
             pm |= bit[p]
         masks.append((pm, bit[rule.conclusion]))
     return masks

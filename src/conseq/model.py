@@ -8,15 +8,18 @@ collapse.  Deduction (see closure.py) only ever looks at a rule's premise
 *set*, but the premise order is kept so that documents round-trip verbatim.
 
 Everything here is immutable after construction and safe to share between
-threads.
+threads.  Building a `LogicSystem` compiles it once to integer symbol and
+rule ids, in time linear in the rules plus one sort; see its docstring.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -41,7 +44,7 @@ class Sort(enum.Enum):
         return f"Sort.{self.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Symbol:
     """An atomic identifier tagged with a sort.
 
@@ -127,12 +130,13 @@ class Language:
         return f"Language(standard={{{std}}}, nonstandard={{{non}}})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """An inference rule: n-1 ordered premises and one conclusion, n >= 2.
 
     Identity is the full ordered tuple, but deduction depends only on
-    `premise_set` and `conclusion`.
+    `premise_set` and `conclusion`.  A rule holds its two fields and
+    nothing else; `premise_set` is computed on each access.
     """
 
     premises: tuple[Symbol, ...]
@@ -143,21 +147,13 @@ class Rule:
         if not self.premises:
             raise NullaryRule(f"rule concluding {self.conclusion.name!r} has no premises")
 
-    @cached_property
+    @property
     def premise_set(self) -> frozenset[Symbol]:
         return frozenset(self.premises)
 
     @property
     def arity(self) -> int:
         return len(self.premises) + 1
-
-    @cached_property
-    def sort_key(self) -> tuple:
-        return (
-            self.arity,
-            tuple(symbol_key(p) for p in self.premises),
-            symbol_key(self.conclusion),
-        )
 
     def __str__(self) -> str:
         return f"{' '.join(p.name for p in self.premises)} => {self.conclusion.name}"
@@ -170,22 +166,49 @@ class LogicSystem:
     Rules are stored deduplicated in a canonical order (arity, premise names,
     conclusion), so equal systems compare equal and iteration, diagnostics,
     and rendering are deterministic.
+
+    Construction compiles the system once, in time linear in its size plus
+    one sort of flat integer keys, and keeps no container per rule.  Ids
+    number the language's symbols by name (`_symbols`; `_ids` maps back),
+    so the key (premise count, premise ids, conclusion id) sorts rules in
+    the canonical order.  Per rule: `premise_counts` (distinct premises)
+    and `_conclusions` (ids); the rules having premise id s are
+    `_premise_rules[_offsets[s]:_offsets[s + 1]]` (CSR); `_arities` holds
+    the arities.  `close` reads only these.  `premise_index` is a view of
+    them built on first use, `first_premise_index` one built on the first
+    one-pass query.
     """
 
     language: Language
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        canonical = tuple(sorted(set(self.rules), key=lambda r: r.sort_key))
-        object.__setattr__(self, "rules", canonical)
-        if not canonical:
+        symbols = tuple(sorted(self.language.symbols, key=attrgetter("name")))
+        ids = {s: i for i, s in enumerate(symbols)}
+        keyed: dict[tuple[int, ...], Rule] = {}
+        for rule in self.rules:
+            try:
+                key = (len(rule.premises), *map(ids.__getitem__, rule.premises), ids[rule.conclusion])
+            except KeyError as e:
+                stray = e.args[0].name
+                raise UnknownSymbol(f"rule ({rule}) uses symbol {stray!r} not in the language") from None
+            keyed.setdefault(key, rule)
+        if not keyed:
             raise EmptySystem("a logic system needs at least one rule")
-        for rule in canonical:
-            for s in (*rule.premises, rule.conclusion):
-                if s not in self.language:
-                    raise UnknownSymbol(
-                        f"rule ({rule}) uses symbol {s.name!r} not in the language"
-                    )
+        keys = sorted(keyed)
+        distinct = [k[1:-1] if k[0] == 1 else set(k[1:-1]) for k in keys]
+        m = len(keys)
+        # premise occurrence (p, rule i) as p * m + i: sorts by premise, then rule
+        codes = sorted(p * m + i for i, ps in enumerate(distinct) for p in ps)
+        put = object.__setattr__
+        put(self, "rules", tuple(map(keyed.__getitem__, keys)))
+        put(self, "_symbols", symbols)
+        put(self, "_ids", ids)
+        put(self, "_offsets", tuple(bisect_left(codes, s * m) for s in range(len(symbols) + 1)))
+        put(self, "_premise_rules", tuple(c % m for c in codes))
+        put(self, "premise_counts", tuple(map(len, distinct)))
+        put(self, "_conclusions", tuple(k[-1] for k in keys))
+        put(self, "_arities", frozenset(k[0] + 1 for k in keys))
 
     @cached_property
     def symbols(self) -> frozenset[Symbol]:
@@ -203,30 +226,24 @@ class LogicSystem:
     @cached_property
     def premise_index(self) -> dict[Symbol, tuple[int, ...]]:
         """Maps each symbol to the indices of rules having it as a premise."""
-        index: dict[Symbol, list[int]] = {}
-        for i, rule in enumerate(self.rules):
-            for p in rule.premise_set:
-                index.setdefault(p, []).append(i)
-        return {s: tuple(ids) for s, ids in index.items()}
+        o, rules = self._offsets, self._premise_rules
+        return {s: rules[o[i] : o[i + 1]] for i, s in enumerate(self._symbols) if o[i] < o[i + 1]}
 
     @cached_property
-    def first_premise_index(self) -> dict[Symbol, tuple[Rule, ...]]:
-        """Maps each symbol to the rules whose first premise it is.
+    def first_premise_index(self) -> dict[Symbol, tuple[tuple[frozenset[Symbol], Symbol], ...]]:
+        """Maps each symbol to the (premise set, conclusion) of the rules whose
+        first premise it is.
 
         Every rule appears under exactly one key.  The one-pass closed forms
         walk this index from the members of X, so a query looks only at the
-        rules whose first premise is in X, not at every rule.  Built lazily
-        on the first one-pass query; `close` never needs it.
+        rules whose first premise is in X, not at every rule, and tests each
+        against a premise set hashed once here.  Built lazily on the first
+        one-pass query; `close` never needs it.
         """
-        index: dict[Symbol, list[Rule]] = {}
+        index: dict[Symbol, list[tuple[frozenset[Symbol], Symbol]]] = {}
         for rule in self.rules:
-            index.setdefault(rule.premises[0], []).append(rule)
+            index.setdefault(rule.premises[0], []).append((rule.premise_set, rule.conclusion))
         return {s: tuple(rules) for s, rules in index.items()}
-
-    @cached_property
-    def premise_counts(self) -> tuple[int, ...]:
-        """Number of distinct premises per rule, aligned with `rules`."""
-        return tuple(len(r.premise_set) for r in self.rules)
 
     @cached_property
     def ternary_shape(self) -> "ShapeCheck":

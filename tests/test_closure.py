@@ -4,6 +4,7 @@ The closed forms are fast paths, never the definition, so most properties
 here compare them against `close` (and `close` against `close_naive`).
 """
 
+import gc
 from itertools import chain as ichain, combinations
 
 import pytest
@@ -132,6 +133,19 @@ def test_first_premise_index_is_built_only_by_a_one_pass_query():
     ternary = make_system(lang, [(("a1", "l1"), "b1"), (("a1", "l2"), "b2")])
     closed_form_ternary(ternary, frozenset())
     assert "first_premise_index" in vars(ternary)
+    # Construction and `close` keep no premise frozenset per rule: a rule has
+    # no instance dict to cache one in, and a 500-rule chain leaves a handful
+    # of frozensets alive (language parts, the result), not one per rule.
+    assert not any(hasattr(r, "__dict__") for r in (*chaining.rules, *ternary.rules))
+    frozensets = lambda: sum(type(o) is frozenset for o in gc.get_objects())
+    symbols = [Symbol(f"s{i}", Sort.STANDARD) for i in range(501)]
+    gc.collect()  # so that no earlier garbage is freed while counting
+    before = frozensets()
+    chain = chain_system(symbols)
+    tail = close(chain, {symbols[0]})
+    assert len(tail) == 501 and frozensets() - before < 10
+    assert len(chain.first_premise_index) == 500  # one premise set per rule
+    assert frozensets() - before >= 500
 
 
 def test_closed_form_ternary_refuses_chaining_system():

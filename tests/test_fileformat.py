@@ -81,6 +81,16 @@ def test_name_collision_location():
         parse_system("standard: a1\nnonstandard: a1")
     assert location(info.value) == (2, 14)
     assert "both sorts" in str(info.value)
+    # names are taken in line order: the collision comes before a later bad name
+    with pytest.raises(NameCollision) as info:
+        parse_system("standard: a1\nnonstandard: l1 a1 b-c")
+    assert location(info.value) == (2, 17)
+
+
+def test_undeclared_name_after_repeats_and_tabs_location():
+    with pytest.raises(UnknownSymbol) as info:
+        parse_system("standard: a1\nrule:\ta1  a1 =>  zz\r")
+    assert location(info.value) == (2, 18)
 
 
 def test_document_level_errors_are_anchored():
@@ -105,6 +115,10 @@ def test_document_level_errors_are_anchored():
         ("standard: b1\nrule: => b1", 2, 7, "no premises"),
         ("standard: a1\nrule: a1 =>", 2, 12, "no conclusion"),
         ("standard: a1 b1 b2\nrule: a1 => b1 b2", 2, 16, "more than one conclusion"),
+        # columns count tabs, repeated names and a CR line end like any character
+        ("standard: a1 b1\n\trule :\ta1  =>  b-1\r", 2, 17, "bad name"),
+        ("standard: a1 b1\nrule: a1 a1 => b1\r\nrule: b1 =>\tb1 =>  a1", 3, 16, "more than one '=>'"),
+        ("standard: a1 b1\nrule\u00a0: a1 => b1", 2, 5, "colon"),
     ],
 )
 def test_parse_error_locations(text, line, col, needle):

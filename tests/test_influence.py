@@ -56,6 +56,12 @@ def test_weight_ternary_requires_uniform_arity():
     system = make_system(lang, [(("l1",), "b1")])
     with pytest.raises(PreconditionViolated):
         weight_ternary(system, lang.resolve("a1"), lang.resolve("b1"))
+    # the message names the first rule, in canonical order, of another arity
+    mixed = make_system(lang, [(("a1", "l1"), "b1"), (("l1", "a1", "a1"), "b1"), (("l1",), "a1")])
+    with pytest.raises(PreconditionViolated, match=r"^rule \(l1 => a1\) is not ternary$"):
+        weight_ternary(mixed, lang.resolve("a1"), lang.resolve("b1"))
+    with pytest.raises(PreconditionViolated, match=r"^rule \(a1 l1 => b1\) is not binary$"):
+        weight_binary(mixed, lang.resolve("b1"))
 
 
 def test_weight_ternary_unknown_symbol(triple_repeat):

@@ -94,6 +94,14 @@ def test_table_validates_universe_order_and_images():
         OperatorTable((X,), (0,))
 
 
+@pytest.mark.parametrize(
+    "images, mask", [((4, 1, 2, 3), 0), ((0, 1, 2, -1), 3), ((0, -1, 9, 3), 1)]
+)
+def test_table_names_the_first_image_outside_the_universe(images, mask):
+    with pytest.raises(ValueError, match=f"^image of mask {mask} leaves the universe$"):
+        OperatorTable((X, Y), images)
+
+
 def test_subsets_enumerated_in_bitmask_order():
     table = OperatorTable.from_function((X, Y), lambda s: s)
     assert list(table.subsets()) == [

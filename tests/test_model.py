@@ -2,13 +2,14 @@
 recognizers."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conseq import (
     BadIdentifier,
     EmptyStandardPart,
     EmptySystem,
     Language,
+    LogicSystem,
     NameCollision,
     NullaryRule,
     Rule,
@@ -20,7 +21,7 @@ from conseq import (
     make_language,
     make_system,
 )
-from strategies import mixed_binary_systems, mixed_ternary_systems, systems
+from strategies import mixed_binary_systems, mixed_ternary_systems, named_systems, systems
 
 
 def test_make_language_counts_parts():
@@ -130,6 +131,41 @@ def test_rules_stored_in_canonical_order():
     s2 = make_system(lang, [(("a1", "l1"), "b1"), (("a2", "l1"), "b1")])
     assert s1 == s2
     assert [str(r) for r in s1.rules] == ["a1 l1 => b1", "a2 l1 => b1"]
+
+
+def test_rule_with_a_declared_name_of_the_wrong_sort_is_unknown():
+    lang = make_language({"a1", "b1"}, {"l1"})
+    a1, b1 = lang.resolve("a1"), lang.resolve("b1")
+    with pytest.raises(UnknownSymbol, match="'l1' not in the language"):
+        LogicSystem(lang, (Rule((a1, Symbol("l1", Sort.STANDARD)), b1),))
+    with pytest.raises(UnknownSymbol, match="'b1' not in the language"):
+        LogicSystem(lang, (Rule((a1,), Symbol("b1", Sort.NONSTANDARD)),))
+
+
+def _canonical_key(rule: Rule) -> tuple:
+    """The canonical rule order, by names and sorts: (arity, premises,
+    conclusion)."""
+    return (
+        rule.arity,
+        tuple((p.name, p.sort.value) for p in rule.premises),
+        (rule.conclusion.name, rule.conclusion.sort.value),
+    )
+
+
+@given(st.one_of(systems(max_rules=8), named_systems()), st.randoms(use_true_random=False))
+def test_compiled_order_and_indexes_match_their_definitions(system, rng):
+    # rebuild from a shuffled listing with duplicates
+    rules = [*system.rules, *system.rules[::2]]
+    rng.shuffle(rules)
+    rebuilt = LogicSystem(system.language, tuple(rules))
+    assert rebuilt.rules == tuple(sorted(set(rules), key=_canonical_key))
+    assert rebuilt == system
+    index: dict[Symbol, list[int]] = {}
+    for i, rule in enumerate(rebuilt.rules):
+        for p in set(rule.premises):
+            index.setdefault(p, []).append(i)
+    assert rebuilt.premise_index == {p: tuple(ids) for p, ids in index.items()}
+    assert rebuilt.premise_counts == tuple(len(set(r.premises)) for r in rebuilt.rules)
 
 
 def test_mixed_ternary_accepts_disjoint_system():
