@@ -16,19 +16,28 @@ universe:
 
 The finitary union, the rules a mask matches, and the conclusions a system
 fires from a mask are all ORs over the keys inside the mask; one subset
-(zeta) transform, `_subset_or`, computes each for every mask in n*2^n steps.
-A table's closures then follow from its one-pass table in a single sweep
-(`_fixpoints`).  Over a finite universe a table is monotone exactly when it
-equals its finitary union, so one list comparison decides both laws.  The
-walk over covering pairs (X, X + {a}), which `checked` counts, runs only when
-that comparison fails, to find the first witness (`_covering_pairs`).
+(zeta) transform, `_subset_or`, computes each for every mask at once.  It
+packs the whole table into one Python int, one fixed-width lane per mask
+(`_lanes`), so each of its n steps is one whole-int expression that the
+big-int code runs over all 2^n lanes.  A table's closures then follow from
+its one-pass table in a single sweep (`_fixpoints`).
+
+Each law is decided by one whole-table test.  Insertion and idempotence
+are tuple comparisons; monotonicity is one lane test per bit over all
+covering pairs (X, X + {a}) at once (`_covering_pairs`), and over a finite
+universe a table is finitary exactly when it is monotone.  The per-mask
+walks, which `checked` counts, run only when a test fails, to name the
+first witness.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import or_
+from itertools import compress, repeat, starmap
+from operator import and_, eq, lshift, not_, or_, rshift
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -42,6 +51,11 @@ from .fileformat import render_set
 from .model import LogicSystem, Symbol, symbol_key
 
 UNIVERSE_CAP = 16
+
+# (lane width in bits, array typecode) for packing tables into lanes,
+# narrowest first; lane m holds bits [m*w, (m+1)*w) of the packed int
+_LANE_CODES = sorted((8 * array(c).itemsize, c) for c in "BHIQ")
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 @dataclass(frozen=True)
@@ -57,6 +71,7 @@ class OperatorTable:
     images: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "images", tuple(self.images))
         n = len(self.universe)
         if n > UNIVERSE_CAP:
             raise UniverseTooLarge(f"universe has {n} symbols; the cap is {UNIVERSE_CAP}")
@@ -177,28 +192,78 @@ def _rule_masks(system: LogicSystem, syms: tuple[Symbol, ...]) -> list[tuple[int
     return masks
 
 
+def _lanes(values: Sequence[int]) -> tuple[list[int], str]:
+    """Pack `values` into big ints, one fixed-width lane per value, value 0
+    in the lowest lane.
+
+    The lane is the narrowest array typecode that holds the widest value.
+    Values wider than 64 bits are cut into 64-bit slices, one int per slice,
+    lowest slice first.  Returns the ints and the typecode.
+    """
+    top = max(values).bit_length()
+    bits, code = next(((b, c) for b, c in _LANE_CODES if b >= top), _LANE_CODES[-1])
+    if top <= bits:
+        parts = [values]
+    else:
+        low = (1 << bits) - 1
+        parts = [list(map(and_, map(rshift, values, repeat(s)), repeat(low))) for s in range(0, top, bits)]
+    ints = []
+    for part in parts:
+        lanes = array(code, part)
+        if _BIG_ENDIAN:
+            lanes.byteswap()
+        ints.append(int.from_bytes(lanes.tobytes(), "little"))
+    return ints, code
+
+
+def _unlanes(ints: list[int], code: str, count: int) -> list[int]:
+    """The `count` values that `_lanes` packed into `ints` with `code`."""
+    bits = 8 * array(code).itemsize
+    parts = []
+    for t in ints:
+        lanes = array(code, t.to_bytes(count * bits // 8, "little"))
+        if _BIG_ENDIAN:
+            lanes.byteswap()
+        parts.append(lanes.tolist())
+    out = parts[0]
+    for k in range(1, len(parts)):
+        out = list(map(or_, out, map(lshift, parts[k], repeat(k * bits))))
+    return out
+
+
+def _lane_masks(n: int, code: str) -> Iterator[tuple[int, int]]:
+    """(shift, low) for each bit b of the masks of n symbols, highest first:
+    `low` selects the lanes whose index lacks b, and shifting left by `shift`
+    moves every lane up b lanes, from mask m to mask m + b.
+
+    The top bit's `low` is the lower half of the lanes; each next one is
+    `low ^ (low << shift)`, so a mask costs two whole-int operations.
+    """
+    bits = 8 * array(code).itemsize
+    low = 0
+    for i in reversed(range(n)):
+        shift = bits << i
+        low = low ^ (low << shift) if low else (1 << shift) - 1
+        yield shift, low
+
+
 def _subset_or(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """out[m] = OR of v over every (key, v) in `pairs` whose key lies inside m.
 
-    Seeds each key with its values, then one pass per bit b folds out[m ^ b]
-    into out[m] for every m holding b: the subset (zeta) transform.  Those
-    masks form runs of length b, one every 2b, so each pass ORs whole slices:
-    one per run when runs are long, one per offset within a run when short.
+    Seeds each key with its values, packs the table into lanes (`_lanes`),
+    then for each bit b ORs every lane m without b into lane m + b: the
+    subset (zeta) transform, one whole-int expression per bit.
     """
     full = 1 << n
     out = [0] * full
     for key, v in pairs:
         out[key] |= v
-    for i in range(n):
-        b = 1 << i
-        stride = b << 1
-        if b * b < full:
-            for j in range(b, stride):
-                out[j::stride] = map(or_, out[j::stride], out[j - b::stride])
-        else:
-            for run in range(b, full, stride):
-                out[run:run + b] = map(or_, out[run:run + b], out[run - b:run])
-    return out
+    ints, code = _lanes(out)
+    for k, t in enumerate(ints):
+        for shift, low in _lane_masks(n, code):
+            t |= (t & low) << shift
+        ints[k] = t
+    return _unlanes(ints, code, full)
 
 
 def _step_table(n: int, rule_masks: list[tuple[int, int]]) -> list[int]:
@@ -221,17 +286,25 @@ def _fixpoints(step: Iterable[int]) -> tuple[int, ...]:
     return tuple(images)
 
 
-def _covering_pairs(
-    n: int, images: Sequence[int], union: list[int]
-) -> tuple[int, tuple[int, int] | None]:
+def _is_monotone(n: int, values: Sequence[int]) -> bool:
+    """values[m] within values[m + b] for every mask m without bit b.
+
+    One whole-int test per bit decides all covering pairs at once: with the
+    values in lanes, ORing every lane without b into the lane b above it
+    changes nothing.
+    """
+    ints, code = _lanes(values)
+    return all((t | (t & low) << shift) == t for t in ints for shift, low in _lane_masks(n, code))
+
+
+def _covering_pairs(n: int, images: Sequence[int]) -> tuple[int, tuple[int, int] | None]:
     """Check images[m] within images[m + b] on every covering pair, m
     ascending, then bit b; return the pairs checked and the first failure.
 
-    `union` is `_subset_or(n, enumerate(images))`.  It equals the images
-    exactly when they are monotone, and then all n*2^(n-1) pairs hold, so
-    the walk runs only to find the first failing pair.
+    `_is_monotone` decides; only when it fails are the pairs walked, to
+    count them up to the first failing one.
     """
-    if union == list(images):
+    if _is_monotone(n, images):
         return n * (1 << n) >> 1, None
     checked = 0
     for m, im in enumerate(images):
@@ -242,6 +315,22 @@ def _covering_pairs(
                 if im & ~images[m | b]:
                     return checked, (m, m | b)
     return checked, None
+
+
+def _agreement(law: str, table: OperatorTable, want: Sequence[int], select: Sequence[int]) -> LawResult:
+    """The law that table.images[m] == want[m] on every mask m whose
+    select[m] is true; `checked` counts the selected masks up to the first
+    failure.  One pass in C decides it; the masks are walked only on
+    failure, to name the first."""
+    images = table.images
+    if all(starmap(eq, compress(zip(images, want), select))):
+        return LawResult(law, True, None, len(select) - select.count(0))
+    checked = 0
+    for m in compress(range(len(select)), select):
+        checked += 1
+        if images[m] != want[m]:
+            break
+    return LawResult(law, False, (table.set_of(m),), checked)
 
 
 def tabulate(system: LogicSystem, universe: Iterable[Symbol]) -> OperatorTable:
@@ -267,37 +356,39 @@ def tabulate(system: LogicSystem, universe: Iterable[Symbol]) -> OperatorTable:
 
 
 def check_axioms(table: OperatorTable) -> LawReport:
-    """Exhaustively decide the four closure-operator laws on a table."""
+    """Exhaustively decide the four closure-operator laws on a table.
+
+    Each law is decided by one whole-table comparison; the masks are walked
+    only when it fails, to name the first witness.
+    """
     images = table.images
     n = len(table.universe)
     full = 1 << n
     results = []
 
     witness = None
-    for m in range(full):
-        if images[m] | m != images[m]:
-            witness = (table.set_of(m),)
-            break
+    if tuple(map(or_, images, range(full))) != images:
+        m = next(m for m in range(full) if images[m] | m != images[m])
+        witness = (table.set_of(m),)
     results.append(LawResult("insertion", witness is None, witness, full))
 
     witness = None
-    for m in range(full):
-        im = images[m]
-        if images[im] != im:
-            witness = (table.set_of(m),)
-            break
+    if tuple(map(images.__getitem__, images)) != images:
+        m = next(m for m in range(full) if images[images[m]] != images[m])
+        witness = (table.set_of(m),)
     results.append(LawResult("idempotence", witness is None, witness, full))
 
-    # union[m] = OR of images over all submasks of m; both laws hold iff it
-    # equals the images
-    union = _subset_or(n, enumerate(images))
-    checked, pair = _covering_pairs(n, images, union)
+    checked, pair = _covering_pairs(n, images)
     witness = pair and tuple(map(table.set_of, pair))
     results.append(LawResult("monotonicity", pair is None, witness, checked))
 
+    # a table is finitary exactly when it is monotone: then each image is
+    # the union of the images of its subsets.  Only a failure builds that
+    # union, to name the first mask it differs on.
     witness = None
     checked = full
     if pair:
+        union = _subset_or(n, enumerate(images))
         m = next(m for m in range(full) if union[m] != images[m])
         bad = next(z for z in range(m + 1) if z & m == z and images[z] & ~images[m])
         witness = (table.set_of(m), table.set_of(bad))
@@ -311,10 +402,10 @@ def equivalent(t1: OperatorTable, t2: OperatorTable) -> TableComparison:
     """Entry-by-entry equality; the witness is the first differing subset."""
     if t1.universe != t2.universe:
         raise UniverseMismatch("tables are over different universes")
-    for m, (a, b) in enumerate(zip(t1.images, t2.images)):
-        if a != b:
-            return TableComparison(False, t1.set_of(m))
-    return TableComparison(True)
+    if t1.images == t2.images:
+        return TableComparison(True)
+    m = next(m for m, (a, b) in enumerate(zip(t1.images, t2.images)) if a != b)
+    return TableComparison(False, t1.set_of(m))
 
 
 def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
@@ -347,30 +438,13 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     images = engine.images
     full = 1 << n
 
-    results = []
-
     # matched[m] = bitmask over rule indices whose premise set lies inside m
     matched = _subset_or(n, ((pm, 1 << i) for i, (pm, _) in enumerate(rule_masks)))
 
-    witness = None
-    checked = 0
-    for m in range(full):
-        if matched[m] == 0:
-            checked += 1
-            if images[m] != m:
-                witness = (engine.set_of(m),)
-                break
-    results.append(LawResult("no-match-fixed", witness is None, witness, checked))
-
-    witness = None
-    checked = 0
-    for m in range(full):
-        if matched[m]:
-            checked += 1
-            if images[m] != one_pass[m]:
-                witness = (engine.set_of(m),)
-                break
-    results.append(LawResult("match-union", witness is None, witness, checked))
+    results = [
+        _agreement("no-match-fixed", engine, range(full), list(map(not_, matched))),
+        _agreement("match-union", engine, one_pass, matched),
+    ]
 
     # each rule's own premise set closes to itself plus the conclusions of
     # every rule sharing that premise set (several rules may share one)
@@ -383,7 +457,7 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
 
     # matched-rule sets grow with X, with the count bound m <= n implicit in
     # the representation
-    checked, pair = _covering_pairs(n, matched, _subset_or(n, enumerate(matched)))
+    checked, pair = _covering_pairs(n, matched)
     witness = pair and tuple(map(engine.set_of, pair))
     results.append(LawResult("matched-count", pair is None, witness, checked))
 

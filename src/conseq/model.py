@@ -207,6 +207,7 @@ class LogicSystem:
         put(self, "_offsets", tuple(bisect_left(codes, s * m) for s in range(len(symbols) + 1)))
         put(self, "_premise_rules", tuple(c % m for c in codes))
         put(self, "premise_counts", tuple(map(len, distinct)))
+        put(self, "_firsts", tuple(k[1] for k in keys))
         put(self, "_conclusions", tuple(k[-1] for k in keys))
         put(self, "_arities", frozenset(k[0] + 1 for k in keys))
 
@@ -300,6 +301,11 @@ class ShapeCheck:
         return self.ok
 
 
+def _standard_ids(system: LogicSystem) -> list[bool]:
+    """Whether each symbol id of the compiled system is standard."""
+    return [s.sort is Sort.STANDARD for s in system._symbols]
+
+
 def is_mixed_ternary(system: LogicSystem) -> ShapeCheck:
     """Recognize the shape whose closure is a single rule pass.
 
@@ -308,7 +314,24 @@ def is_mixed_ternary(system: LogicSystem) -> ShapeCheck:
     that no premise symbol of any rule equals a conclusion symbol of any
     rule.  The disjointness is what rules out chaining: a fired conclusion
     can never enable another rule.
+
+    The compiled form decides a passing system.  With every first premise
+    standard, a rule's second premise is nonstandard exactly when the rule
+    has a nonstandard premise, so the nonstandard premise ids must index
+    every rule once; nonstandard second premises never equal a standard
+    conclusion, so only the first premises are tested for disjointness.
+    The rules are scanned only on failure, to name the first offending one.
     """
+    if system._arities == {3}:
+        std = _standard_ids(system)
+        o = system._offsets
+        if (
+            all(map(std.__getitem__, system._firsts))
+            and all(map(std.__getitem__, system._conclusions))
+            and sum(o[s + 1] - o[s] for s, is_std in enumerate(std) if not is_std) == len(system.rules)
+            and set(system._firsts).isdisjoint(system._conclusions)
+        ):
+            return ShapeCheck(True)
     for rule in system.rules:
         if rule.arity != 3:
             return ShapeCheck(False, f"rule ({rule}) is not ternary")
@@ -335,8 +358,13 @@ def is_mixed_binary(system: LogicSystem) -> ShapeCheck:
     """Recognize binary rules with a nonstandard premise and standard conclusion.
 
     Premise/conclusion disjointness holds automatically because the sorts of
-    a language are disjoint.
+    a language are disjoint.  The compiled form decides a passing system;
+    the rules are scanned only on failure, to name the first offending one.
     """
+    if system._arities == {2}:
+        std = _standard_ids(system)
+        if not any(map(std.__getitem__, system._firsts)) and all(map(std.__getitem__, system._conclusions)):
+            return ShapeCheck(True)
     for rule in system.rules:
         if rule.arity != 2:
             return ShapeCheck(False, f"rule ({rule}) is not binary")

@@ -2,11 +2,18 @@
 
 All invocations go through main(argv) in-process; exit code 0 means success
 or all checks passing, 1 a usage/parse/validation problem, 2 a checked
-property that failed.
+property that failed.  One test imports the CLI in a fresh interpreter, to
+list the modules it loads.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conseq
 from conseq import OperatorTable, Sort, Symbol, check_axioms, parse_system
 from conseq import cli
 from conseq.cli import CHAIN_CAP, main
@@ -287,3 +294,21 @@ def test_bad_usage_exits_one(capsys):
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys, "close")[0] == 1
     assert run(capsys)[0] == 1
+
+
+def test_cli_loads_only_the_standard_library():
+    # the package promises no runtime dependencies: importing the CLI loads
+    # nothing from outside the standard library but conseq itself
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import conseq.cli\n"
+        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))\n"
+    )
+    src = str(Path(conseq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "conseq" in loaded
+    assert {m for m in loaded if m != "conseq" and m not in sys.stdlib_module_names} == set()

@@ -31,6 +31,7 @@ from conseq import (
     tabulate,
     verify_closed_form_characterization,
 )
+from conseq.laws import _covering_pairs, _is_monotone, _subset_or
 from strategies import mixed_ternary_systems, systems
 
 X = Symbol("x", Sort.STANDARD)
@@ -92,6 +93,12 @@ def test_table_validates_universe_order_and_images():
         OperatorTable((X,), (0, 4))
     with pytest.raises(ValueError):
         OperatorTable((X,), (0,))
+
+
+def test_table_stores_its_images_as_a_tuple():
+    table = OperatorTable((X, Y), [0, 1, 2, 3])
+    assert table.images == (0, 1, 2, 3)
+    assert check_axioms(table).ok
 
 
 @pytest.mark.parametrize(
@@ -367,3 +374,164 @@ def test_matched_counts_monotone_and_bounded(system):
     for i, s in enumerate(pool):
         without = full - {s}
         assert matched(without) <= matched(full)
+
+
+# value widths that cross every lane typecode (8, 16, 32 and 64 bits) and
+# the cut into 64-bit slices (65 and 130 bits take two and three)
+WIDTHS = [0, 8, 9, 16, 17, 33, 64, 65, 130]
+
+
+@st.composite
+def subset_seeds(draw):
+    """(n, pairs) for `_subset_or`: a key on every mask (dense) or a few
+    keys (sparse), with the widest value exactly `width` bits wide."""
+    n = draw(st.integers(0, 6))
+    width = draw(st.sampled_from(WIDTHS))
+    full = 1 << n
+    value = st.integers(0, (1 << width) - 1)
+    if draw(st.booleans()):
+        keys = list(range(full))
+    else:
+        keys = draw(st.lists(st.integers(0, full - 1), max_size=4))
+    pairs = [(k, draw(value)) for k in keys]
+    if width:
+        pairs.append((draw(st.integers(0, full - 1)), 1 << (width - 1)))
+    return n, pairs
+
+
+def subset_or_by_definition(n, pairs):
+    return [
+        functools.reduce(operator.or_, (v for k, v in pairs if k & m == k), 0)
+        for m in range(1 << n)
+    ]
+
+
+def covering_pairs_of(n):
+    return [(m, m | 1 << i) for m in range(1 << n) for i in range(n) if not m >> i & 1]
+
+
+@given(subset_seeds())
+def test_subset_transform_matches_its_definition(case):
+    n, pairs = case
+    out = _subset_or(n, pairs)
+    assert out == subset_or_by_definition(n, pairs)
+    # inflationary on its seeds, monotone, and equal to its own union
+    assert all(out[k] & v == v for k, v in pairs)
+    assert all(out[m] & ~out[w] == 0 for m, w in covering_pairs_of(n))
+    assert _is_monotone(n, out)
+    assert _subset_or(n, enumerate(out)) == out
+
+
+@st.composite
+def lane_tables(draw):
+    """n and a table of values up to `width` bits: arbitrary, or monotone
+    with one bit of one entry cleared, so that a failure can sit on any
+    covering pair and in any 64-bit slice."""
+    n, pairs = draw(subset_seeds())
+    values = subset_or_by_definition(n, pairs)
+    if draw(st.booleans()):
+        m = draw(st.integers(0, (1 << n) - 1))
+        if values[m]:
+            # the highest bit, which sits in the top slice, or any other
+            bits = [i for i in reversed(range(values[m].bit_length())) if values[m] >> i & 1]
+            values[m] &= ~(1 << draw(st.sampled_from(bits)))
+    elif draw(st.booleans()):
+        top = max(values).bit_length()
+        values = draw(st.lists(st.integers(0, (1 << top) - 1), min_size=1 << n, max_size=1 << n))
+    return n, values
+
+
+@given(lane_tables())
+def test_lane_monotonicity_test_matches_its_definition(case):
+    n, values = case
+    pairs = covering_pairs_of(n)
+    bad = [i for i, (m, w) in enumerate(pairs) if values[m] & ~values[w]]
+    assert _is_monotone(n, values) == (not bad)
+    assert _covering_pairs(n, values) == ((bad[0] + 1, pairs[bad[0]]) if bad else (len(pairs), None))
+
+
+@pytest.mark.parametrize("width", WIDTHS[1:])
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_lane_monotonicity_test_reads_the_top_bit_of_every_width(n, width):
+    # only the widest bit is set, in every lane but the last, so every
+    # failing pair ends at the full mask and lives in the top lane slice
+    full = 1 << n
+    values = [1 << (width - 1)] * (full - 1) + [0]
+    pairs = covering_pairs_of(n)
+    first = next(i for i, (m, w) in enumerate(pairs) if values[m] & ~values[w])
+    assert not _is_monotone(n, values)
+    assert _covering_pairs(n, values) == (first + 1, pairs[first])
+    values[-1] = values[0]
+    assert _is_monotone(n, values)
+
+
+def law_rows(n, images):
+    universe = tuple(Symbol(f"s{i:02d}", Sort.STANDARD) for i in range(n))
+    return {r.law: (r.passed, r.checked, r.witness) for r in check_axioms(OperatorTable(universe, tuple(images)))}
+
+
+def named(*indices):
+    return frozenset(Symbol(f"s{i:02d}", Sort.STANDARD) for i in indices)
+
+
+@pytest.mark.parametrize("n, checked", [(5, 49), (16, 278529)])
+def test_only_failure_on_bit_zero_mid_walk(n, checked):
+    # the identity except T({s0, top}) = {s0}: only ({top}, {s0, top}) fails;
+    # checked = pairs of every m below top, n*2^(n-1) - (n-1)*2^(n-2), plus one
+    top = n - 1
+    images = list(range(1 << n))
+    images[1 | 1 << top] = 1
+    rows = law_rows(n, images)
+    assert rows["monotonicity"] == (False, checked, (named(top), named(0, top)))
+    assert rows["finitary"] == (False, (1 << top) + 2, (named(0, top), named(top)))
+    assert rows["insertion"] == (False, 1 << n, (named(0, top),))
+    assert rows["idempotence"] == (True, 1 << n, None)
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_only_failure_on_bit_zero_at_the_last_pair(n):
+    # empty images except T(all but s0) = {s0}: only the very last covering
+    # pair fails, so every pair is checked
+    images = [0] * (1 << n)
+    images[-2] = 1
+    rest = named(*range(1, n))
+    rows = law_rows(n, images)
+    assert rows["monotonicity"] == (False, n << (n - 1), (rest, named(*range(n))))
+    assert rows["finitary"] == (False, 1 << n, (named(*range(n)), rest))
+    assert rows["insertion"] == (False, 1 << n, (named(0),))
+    assert rows["idempotence"] == (False, 1 << n, (rest,))
+
+
+@pytest.mark.parametrize("n, checked", [(5, 48), (16, 278528)])
+def test_only_failure_on_the_top_bit_at_its_last_pair(n, checked):
+    # empty images except T(all but the top symbol) = {s0}: only the pair
+    # (all but top, all) fails, which is the last pair on the top bit
+    images = [0] * (1 << n)
+    images[(1 << (n - 1)) - 1] = 1
+    low = named(*range(n - 1))
+    rows = law_rows(n, images)
+    assert rows["monotonicity"] == (False, checked, (low, named(*range(n))))
+    assert rows["finitary"] == (False, 1 << n, (named(*range(n)), low))
+    assert rows["insertion"] == (False, 1 << n, (named(0),))
+    assert rows["idempotence"] == (False, 1 << n, (low,))
+
+
+def test_characterization_on_sixteen_symbols_with_150_rules():
+    # every (a, l, b) triple: matched needs 150 bits, three 64-bit slices,
+    # and the rules of a4 sit in the top slice
+    lang = make_language([f"a{i}" for i in range(5)] + [f"b{i}" for i in range(6)], [f"l{i}" for i in range(5)])
+    triples = [((f"a{a}", f"l{l}"), f"b{b}") for a in range(5) for l in range(5) for b in range(6)]
+    system = make_system(lang, triples)
+    rows = [(r.law, r.passed, r.checked) for r in verify_closed_form_characterization(system)]
+    # no rule matches a subset with no a or no l: 2^6 * (2^5 + 2^5 - 1) of them
+    assert rows == [
+        ("no-match-fixed", True, 4032),
+        ("match-union", True, 65536 - 4032),
+        ("premise-set-values", True, 150),
+        ("matched-count", True, 16 << 15),
+        ("closed-form-agreement", True, 65536),
+        ("closed-form-insertion", True, 65536),
+        ("closed-form-idempotence", True, 65536),
+        ("closed-form-monotonicity", True, 16 << 15),
+        ("closed-form-finitary", True, 65536),
+    ]
