@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DuplicateElement, LanguageMismatch, PreconditionViolated, TooShort
-from .model import Language, LogicSystem, Rule, Sort, Symbol
+from .model import Language, LogicSystem, Rule, Sort, Symbol, symbol_key
 
 # Deduction sets are plain frozensets of symbols over the system's language;
 # mixing sorts is fine.
@@ -40,7 +40,7 @@ DeductionSet = frozenset[Symbol]
 def _deduction_set(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
     x = frozenset(members)
     if not x <= system.language.symbols:
-        stray = sorted(x - system.language.symbols, key=lambda s: s.name)[0]
+        stray = min(x - system.language.symbols, key=symbol_key)
         raise LanguageMismatch(
             f"symbol {stray.name!r} ({stray.sort.value}) is not in the system's language"
         )

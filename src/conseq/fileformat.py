@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     UnknownSymbol,
 )
-from .model import NAME_RE, Language, LogicSystem, Rule, Sort, Symbol
+from .model import NAME_RE, Language, LogicSystem, Rule, Sort, Symbol, symbol_key
 
 TOKEN_RE = re.compile(r"\S+")
 KEYWORDS = ("standard", "nonstandard", "rule")
@@ -219,7 +219,7 @@ def render_system(doc: "SystemDocument | LogicSystem") -> str:
 def render_set(members: Iterable[Symbol]) -> str:
     """Comma-separated names sorted lexicographically; nonstandard symbols
     get a '*' prefix on output only."""
-    ordered = sorted(members, key=lambda s: (s.name, s.sort.value))
+    ordered = sorted(members, key=symbol_key)
     return ",".join(
         s.name if s.sort is Sort.STANDARD else f"*{s.name}" for s in ordered
     )

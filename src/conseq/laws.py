@@ -14,12 +14,12 @@ universe:
 * monotonicity   X subset of Y  implies  T(X) subset of T(Y)
 * finitary       T(X) = union of T(Z) over all Z subset of X
 
-The finitary union, the rules a mask matches, and the conclusions a system
-fires from a mask are all ORs over the keys inside the mask; one subset
-(zeta) transform, `_subset_or`, computes each for every mask at once.  It
-packs the whole table into one Python int, one fixed-width lane per mask
-(`_lanes`), so each of its n steps is one whole-int expression that the
-big-int code runs over all 2^n lanes.  A table's closures then follow from
+The finitary union, the premise sets a mask matches, and the conclusions a
+system fires from a mask are all ORs over the keys inside the mask; one
+subset (zeta) transform, `_subset_or`, computes each for every mask at once.
+It packs the whole table into one Python int, one lane of at most 64 bits
+per mask (`_lanes`), so each of its n steps is one whole-int expression that
+the big-int code runs over all 2^n lanes.  A table's closures then follow from
 its one-pass table in a single sweep (`_fixpoints`).
 
 Each law is decided by one whole-table test.  Insertion and idempotence
@@ -36,8 +36,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat, starmap
-from operator import and_, eq, lshift, not_, or_, rshift
+from itertools import compress, starmap
+from operator import eq, not_, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -91,9 +91,7 @@ class OperatorTable:
         cls, universe: Iterable[Symbol], fn: Callable[[frozenset[Symbol]], Iterable[Symbol]]
     ) -> "OperatorTable":
         """Tabulate an arbitrary set function over every subset."""
-        syms = tuple(sorted(set(universe), key=symbol_key))
-        if len(syms) > UNIVERSE_CAP:
-            raise UniverseTooLarge(f"universe has {len(syms)} symbols; the cap is {UNIVERSE_CAP}")
+        syms = _universe(universe)
         bit = {s: 1 << i for i, s in enumerate(syms)}
         images = []
         for mask in range(1 << len(syms)):
@@ -181,6 +179,15 @@ class TableComparison:
         return self.equal
 
 
+def _universe(symbols: Iterable[Symbol], lead: str = "universe has") -> tuple[Symbol, ...]:
+    """The distinct `symbols` in canonical order, at most UNIVERSE_CAP of
+    them; `lead` opens the error message."""
+    syms = tuple(sorted(set(symbols), key=symbol_key))
+    if len(syms) > UNIVERSE_CAP:
+        raise UniverseTooLarge(f"{lead} {len(syms)} symbols; the cap is {UNIVERSE_CAP}")
+    return syms
+
+
 def _rule_masks(system: LogicSystem, syms: tuple[Symbol, ...]) -> list[tuple[int, int]]:
     bit = {s: 1 << i for i, s in enumerate(syms)}
     masks = []
@@ -192,43 +199,30 @@ def _rule_masks(system: LogicSystem, syms: tuple[Symbol, ...]) -> list[tuple[int
     return masks
 
 
-def _lanes(values: Sequence[int]) -> tuple[list[int], str]:
-    """Pack `values` into big ints, one fixed-width lane per value, value 0
-    in the lowest lane.
+def _lanes(values: Sequence[int]) -> tuple[int, str]:
+    """Pack `values` into one big int, one fixed-width lane per value, value
+    0 in the lowest lane.
 
     The lane is the narrowest array typecode that holds the widest value.
-    Values wider than 64 bits are cut into 64-bit slices, one int per slice,
-    lowest slice first.  Returns the ints and the typecode.
+    Every table fits in 64 bits: images and one-pass values hold one bit per
+    symbol (at most 16), and verify's matched table one bit per premise set,
+    of which a mixed ternary system over 16 symbols has at most 7 * 8 = 56.
+    Returns the int and the typecode.
     """
     top = max(values).bit_length()
-    bits, code = next(((b, c) for b, c in _LANE_CODES if b >= top), _LANE_CODES[-1])
-    if top <= bits:
-        parts = [values]
-    else:
-        low = (1 << bits) - 1
-        parts = [list(map(and_, map(rshift, values, repeat(s)), repeat(low))) for s in range(0, top, bits)]
-    ints = []
-    for part in parts:
-        lanes = array(code, part)
-        if _BIG_ENDIAN:
-            lanes.byteswap()
-        ints.append(int.from_bytes(lanes.tobytes(), "little"))
-    return ints, code
+    code = next((c for b, c in _LANE_CODES if b >= top), _LANE_CODES[-1][1])
+    lanes = array(code, values)
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little"), code
 
 
-def _unlanes(ints: list[int], code: str, count: int) -> list[int]:
-    """The `count` values that `_lanes` packed into `ints` with `code`."""
-    bits = 8 * array(code).itemsize
-    parts = []
-    for t in ints:
-        lanes = array(code, t.to_bytes(count * bits // 8, "little"))
-        if _BIG_ENDIAN:
-            lanes.byteswap()
-        parts.append(lanes.tolist())
-    out = parts[0]
-    for k in range(1, len(parts)):
-        out = list(map(or_, out, map(lshift, parts[k], repeat(k * bits))))
-    return out
+def _unlanes(t: int, code: str, count: int) -> list[int]:
+    """The `count` values that `_lanes` packed into `t` with `code`."""
+    lanes = array(code, t.to_bytes(count * array(code).itemsize, "little"))
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return lanes.tolist()
 
 
 def _lane_masks(n: int, code: str) -> Iterator[tuple[int, int]]:
@@ -258,12 +252,10 @@ def _subset_or(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     out = [0] * full
     for key, v in pairs:
         out[key] |= v
-    ints, code = _lanes(out)
-    for k, t in enumerate(ints):
-        for shift, low in _lane_masks(n, code):
-            t |= (t & low) << shift
-        ints[k] = t
-    return _unlanes(ints, code, full)
+    t, code = _lanes(out)
+    for shift, low in _lane_masks(n, code):
+        t |= (t & low) << shift
+    return _unlanes(t, code, full)
 
 
 def _step_table(n: int, rule_masks: list[tuple[int, int]]) -> list[int]:
@@ -293,8 +285,8 @@ def _is_monotone(n: int, values: Sequence[int]) -> bool:
     values in lanes, ORing every lane without b into the lane b above it
     changes nothing.
     """
-    ints, code = _lanes(values)
-    return all((t | (t & low) << shift) == t for t in ints for shift, low in _lane_masks(n, code))
+    t, code = _lanes(values)
+    return all((t | (t & low) << shift) == t for shift, low in _lane_masks(n, code))
 
 
 def _covering_pairs(n: int, images: Sequence[int]) -> tuple[int, tuple[int, int] | None]:
@@ -340,10 +332,8 @@ def tabulate(system: LogicSystem, universe: Iterable[Symbol]) -> OperatorTable:
     stay inside its language), so closures never leave the universe and each
     entry is exactly `close(system, X)`.
     """
-    syms = tuple(sorted(set(universe), key=symbol_key))
+    syms = _universe(universe)
     n = len(syms)
-    if n > UNIVERSE_CAP:
-        raise UniverseTooLarge(f"universe has {n} symbols; the cap is {UNIVERSE_CAP}")
     missing = system.symbols - set(syms)
     if missing:
         name = sorted(missing, key=symbol_key)[0].name
@@ -428,18 +418,19 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     check = system.ternary_shape
     if not check:
         raise PreconditionViolated(f"not a mixed ternary system: {check.reason}")
-    syms = tuple(sorted(system.symbols, key=symbol_key))
+    syms = _universe(system.symbols, "system uses")
     n = len(syms)
-    if n > UNIVERSE_CAP:
-        raise UniverseTooLarge(f"system uses {n} symbols; the cap is {UNIVERSE_CAP}")
     rule_masks = _rule_masks(system, syms)
     one_pass = tuple(_step_table(n, rule_masks))
     engine = OperatorTable(syms, _fixpoints(one_pass))
     images = engine.images
     full = 1 << n
 
-    # matched[m] = bitmask over rule indices whose premise set lies inside m
-    matched = _subset_or(n, ((pm, 1 << i) for i, (pm, _) in enumerate(rule_masks)))
+    # matched[m] = bitmask over the distinct premise sets inside m; rules
+    # sharing a premise set match together, so this marks the same masks
+    # matched, and shrinks on the same covering pairs, as one bit per rule
+    premise_sets = dict.fromkeys(pm for pm, _ in rule_masks)
+    matched = _subset_or(n, ((pm, 1 << i) for i, pm in enumerate(premise_sets)))
 
     results = [
         _agreement("no-match-fixed", engine, range(full), list(map(not_, matched))),
@@ -455,8 +446,8 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
             break
     results.append(LawResult("premise-set-values", witness is None, witness, len(rule_masks)))
 
-    # matched-rule sets grow with X, with the count bound m <= n implicit in
-    # the representation
+    # matched premise sets grow with X, with the count bound m <= n implicit
+    # in the representation
     checked, pair = _covering_pairs(n, matched)
     witness = pair and tuple(map(engine.set_of, pair))
     results.append(LawResult("matched-count", pair is None, witness, checked))

@@ -93,6 +93,19 @@ def test_close_rejects_foreign_symbols(single_rule):
         close(system, {Symbol("zz", Sort.STANDARD)})
 
 
+def test_foreign_symbol_report_ignores_input_order():
+    # two strays share a name and a hash; the report names the first by
+    # (name, sort), whatever order the input lists them in
+    system = chain_system([Symbol(f"s{i}", Sort.STANDARD) for i in range(3)])
+    z_std, z_non = Symbol("z", Sort.STANDARD), Symbol("z", Sort.NONSTANDARD)
+    messages = set()
+    for members in ([z_std, z_non], [z_non, z_std]):
+        with pytest.raises(LanguageMismatch) as info:
+            close(system, members)
+        messages.add(str(info.value))
+    assert messages == {"symbol 'z' (nonstandard) is not in the system's language"}
+
+
 def test_close_passes_rule_free_symbols_through():
     lang = make_language({"a1", "b1", "spare"}, {"l1"})
     system = make_system(lang, [(("a1", "l1"), "b1")])

@@ -376,9 +376,8 @@ def test_matched_counts_monotone_and_bounded(system):
         assert matched(without) <= matched(full)
 
 
-# value widths that cross every lane typecode (8, 16, 32 and 64 bits) and
-# the cut into 64-bit slices (65 and 130 bits take two and three)
-WIDTHS = [0, 8, 9, 16, 17, 33, 64, 65, 130]
+# value widths that cross every lane typecode (8, 16, 32 and 64 bits)
+WIDTHS = [0, 8, 9, 16, 17, 33, 64]
 
 
 @st.composite
@@ -426,13 +425,13 @@ def test_subset_transform_matches_its_definition(case):
 def lane_tables(draw):
     """n and a table of values up to `width` bits: arbitrary, or monotone
     with one bit of one entry cleared, so that a failure can sit on any
-    covering pair and in any 64-bit slice."""
+    covering pair and in any bit of a lane."""
     n, pairs = draw(subset_seeds())
     values = subset_or_by_definition(n, pairs)
     if draw(st.booleans()):
         m = draw(st.integers(0, (1 << n) - 1))
         if values[m]:
-            # the highest bit, which sits in the top slice, or any other
+            # the highest bit or any other
             bits = [i for i in reversed(range(values[m].bit_length())) if values[m] >> i & 1]
             values[m] &= ~(1 << draw(st.sampled_from(bits)))
     elif draw(st.booleans()):
@@ -454,7 +453,7 @@ def test_lane_monotonicity_test_matches_its_definition(case):
 @pytest.mark.parametrize("n", [1, 4, 6])
 def test_lane_monotonicity_test_reads_the_top_bit_of_every_width(n, width):
     # only the widest bit is set, in every lane but the last, so every
-    # failing pair ends at the full mask and lives in the top lane slice
+    # failing pair ends at the full mask
     full = 1 << n
     values = [1 << (width - 1)] * (full - 1) + [0]
     pairs = covering_pairs_of(n)
@@ -517,8 +516,8 @@ def test_only_failure_on_the_top_bit_at_its_last_pair(n, checked):
 
 
 def test_characterization_on_sixteen_symbols_with_150_rules():
-    # every (a, l, b) triple: matched needs 150 bits, three 64-bit slices,
-    # and the rules of a4 sit in the top slice
+    # every (a, l, b) triple: 150 rules share 25 premise sets, so matched
+    # holds 25 bits per lane while premise-set-values walks all 150 rules
     lang = make_language([f"a{i}" for i in range(5)] + [f"b{i}" for i in range(6)], [f"l{i}" for i in range(5)])
     triples = [((f"a{a}", f"l{l}"), f"b{b}") for a in range(5) for l in range(5) for b in range(6)]
     system = make_system(lang, triples)
@@ -534,4 +533,24 @@ def test_characterization_on_sixteen_symbols_with_150_rules():
         ("closed-form-idempotence", True, 65536),
         ("closed-form-monotonicity", True, 16 << 15),
         ("closed-form-finitary", True, 65536),
+    ]
+
+
+def test_characterization_at_the_widest_matched_lane():
+    # 7 a times 8 l is the most premise sets 16 symbols allow (one symbol is
+    # left for the conclusion): matched holds 56 bits in 64-bit lanes
+    lang = make_language([f"a{i}" for i in range(7)] + ["b0"], [f"l{i}" for i in range(8)])
+    system = make_system(lang, [((f"a{a}", f"l{l}"), "b0") for a in range(7) for l in range(8)])
+    rows = [(r.law, r.passed, r.checked, r.witness) for r in verify_closed_form_characterization(system)]
+    # no rule matches a subset with no a or no l: 2 * (2^7 + 2^8 - 1) of them
+    assert rows == [
+        ("no-match-fixed", True, 766, None),
+        ("match-union", True, 65536 - 766, None),
+        ("premise-set-values", True, 56, None),
+        ("matched-count", True, 16 << 15, None),
+        ("closed-form-agreement", True, 65536, None),
+        ("closed-form-insertion", True, 65536, None),
+        ("closed-form-idempotence", True, 65536, None),
+        ("closed-form-monotonicity", True, 16 << 15, None),
+        ("closed-form-finitary", True, 65536, None),
     ]
