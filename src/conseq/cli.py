@@ -221,10 +221,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 1
     try:
         return args.func(args)
-    except ConseqError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (ConseqError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

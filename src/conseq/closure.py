@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import DuplicateElement, LanguageMismatch, PreconditionViolated, TooShort
-from .model import Language, LogicSystem, Rule, Sort, Symbol, symbol_key
+from .errors import DuplicateElement, LanguageMismatch, TooShort
+from .model import Language, LogicSystem, Rule, Sort, Symbol, _require_shape, symbol_key
 
 # Deduction sets are plain frozensets of symbols over the system's language;
 # mixing sorts is fine.
@@ -122,18 +122,14 @@ def closed_form_ternary(system: LogicSystem, members: Iterable[Symbol]) -> Deduc
     guarantees no chaining, so X extended with the conclusions of all rules
     whose premise set lies inside X is already closed.
     """
-    check = system.ternary_shape
-    if not check:
-        raise PreconditionViolated(f"not a mixed ternary system: {check.reason}")
+    _require_shape(system.ternary_shape, "ternary")
     return _one_pass(system, _deduction_set(system, members))
 
 
 def closed_form_binary(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
     """One-pass value for a mixed binary system: X plus the conclusion of
     every rule whose single premise is in X."""
-    check = system.binary_shape
-    if not check:
-        raise PreconditionViolated(f"not a mixed binary system: {check.reason}")
+    _require_shape(system.binary_shape, "binary")
     return _one_pass(system, _deduction_set(system, members))
 
 

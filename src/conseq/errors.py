@@ -26,6 +26,14 @@ class ConseqError(Exception):
         return self.message
 
 
+class InvalidValue(ConseqError, ValueError):
+    """An argument lies outside what a constructor or lookup accepts (a
+    symbol in the wrong part, an unsorted universe, a negative count).
+
+    Also a ValueError, so code that catches ValueError still catches it.
+    """
+
+
 # -- language construction ---------------------------------------------------
 
 class BadIdentifier(ConseqError):

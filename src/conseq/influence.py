@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import PreconditionViolated, UnknownSymbol
+from .errors import InvalidValue, PreconditionViolated, UnknownSymbol
 from .model import LogicSystem, Rule, Symbol
 
 
@@ -32,7 +32,7 @@ class InfluenceWeight:
 
     def __post_init__(self):
         if self.multiplicity < 0:
-            raise ValueError("multiplicity cannot be negative")
+            raise InvalidValue("multiplicity cannot be negative")
 
 
 class Strength(enum.Enum):

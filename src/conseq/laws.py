@@ -16,39 +16,41 @@ universe:
 
 The finitary union, the premise sets a mask matches, and the conclusions a
 system fires from a mask are all ORs over the keys inside the mask; one
-subset (zeta) transform, `_subset_or`, computes each for every mask at once.
-It packs the whole table into one Python int, one lane of at most 64 bits
-per mask (`_lanes`), so each of its n steps is one whole-int expression that
-the big-int code runs over all 2^n lanes.  A table's closures then follow from
-its one-pass table in a single sweep (`_fixpoints`).
+subset (zeta) transform, `_zeta`, computes each for every mask at once
+(`_subset_or`).  It runs on the whole table packed into one Python int, one
+lane of at most 64 bits per mask (`_lanes`), so each of its n steps is one
+whole-int expression that the big-int code runs over all 2^n lanes.  A
+table's closures then follow from its one-pass table in a single sweep
+(`_fixpoints`).
 
-Each law is decided by one whole-table test.  Insertion and idempotence
-are tuple comparisons; monotonicity is one lane test per bit over all
-covering pairs (X, X + {a}) at once (`_covering_pairs`), and over a finite
-universe a table is finitary exactly when it is monotone.  The per-mask
-walks, which `checked` counts, run only when a test fails, to name the
-first witness.
+Each law is decided by one whole-table test.  Insertion, idempotence, the
+closed form's agreement with the engine, and `equivalent` are one table
+equality (`_equal_tables`); monotonicity over all covering pairs
+(X, X + {a}) is a table that `_zeta` leaves unchanged (`_is_monotone`), and
+over a finite universe a table is finitary exactly when it is monotone.
+The per-mask walks, which `checked` counts, run only when a test fails, to
+name the first witness.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress, starmap
 from operator import eq, not_, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
+    InvalidValue,
     LanguageMismatch,
-    PreconditionViolated,
     UniverseIncomplete,
     UniverseMismatch,
     UniverseTooLarge,
 )
 from .fileformat import render_set
-from .model import LogicSystem, Symbol, symbol_key
+from .model import LogicSystem, Symbol, _require_shape, symbol_key
 
 UNIVERSE_CAP = 16
 
@@ -76,15 +78,15 @@ class OperatorTable:
         if n > UNIVERSE_CAP:
             raise UniverseTooLarge(f"universe has {n} symbols; the cap is {UNIVERSE_CAP}")
         if len(set(self.universe)) != n:
-            raise ValueError("universe symbols must be distinct")
+            raise InvalidValue("universe symbols must be distinct")
         if list(self.universe) != sorted(self.universe, key=symbol_key):
-            raise ValueError("universe must be canonically sorted")
+            raise InvalidValue("universe must be canonically sorted")
         full = 1 << n
         if len(self.images) != full:
-            raise ValueError(f"expected {full} images, got {len(self.images)}")
+            raise InvalidValue(f"expected {full} images, got {len(self.images)}")
         if min(self.images) < 0 or max(self.images) >= full:
             m = next(m for m, im in enumerate(self.images) if not 0 <= im < full)
-            raise ValueError(f"image of mask {m} leaves the universe")
+            raise InvalidValue(f"image of mask {m} leaves the universe")
 
     @classmethod
     def from_function(
@@ -100,7 +102,7 @@ class OperatorTable:
             for s in fn(subset):
                 b = bit.get(s)
                 if b is None:
-                    raise ValueError(f"image symbol {s.name!r} is outside the universe")
+                    raise InvalidValue(f"image symbol {s.name!r} is outside the universe")
                 image |= b
             images.append(image)
         return cls(syms, tuple(images))
@@ -116,7 +118,7 @@ class OperatorTable:
             try:
                 mask |= bit[s]
             except KeyError:
-                raise ValueError(f"symbol {s.name!r} is outside the universe") from None
+                raise InvalidValue(f"symbol {s.name!r} is outside the universe") from None
         return mask
 
     def set_of(self, mask: int) -> frozenset[Symbol]:
@@ -225,37 +227,33 @@ def _unlanes(t: int, code: str, count: int) -> list[int]:
     return lanes.tolist()
 
 
-def _lane_masks(n: int, code: str) -> Iterator[tuple[int, int]]:
-    """(shift, low) for each bit b of the masks of n symbols, highest first:
-    `low` selects the lanes whose index lacks b, and shifting left by `shift`
-    moves every lane up b lanes, from mask m to mask m + b.
+def _zeta(n: int, t: int, code: str) -> int:
+    """The subset (zeta) transform of a table of 2^n lanes that `_lanes`
+    packed into `t` with `code`: for each bit b of the masks, highest first,
+    OR every lane m without b into lane m + b, one whole-int expression.
 
-    The top bit's `low` is the lower half of the lanes; each next one is
-    `low ^ (low << shift)`, so a mask costs two whole-int operations.
+    `low` selects the lanes whose index lacks b, and shifting left by
+    `shift` moves every lane up b lanes.  The top bit's `low` is the lower
+    half of the lanes; each next one is `low ^ (low << shift)`.
     """
     bits = 8 * array(code).itemsize
     low = 0
     for i in reversed(range(n)):
         shift = bits << i
         low = low ^ (low << shift) if low else (1 << shift) - 1
-        yield shift, low
+        t |= (t & low) << shift
+    return t
 
 
 def _subset_or(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """out[m] = OR of v over every (key, v) in `pairs` whose key lies inside m.
-
-    Seeds each key with its values, packs the table into lanes (`_lanes`),
-    then for each bit b ORs every lane m without b into lane m + b: the
-    subset (zeta) transform, one whole-int expression per bit.
-    """
+    """out[m] = OR of v over every (key, v) in `pairs` whose key lies inside m:
+    each key seeded with its values, then `_zeta`."""
     full = 1 << n
     out = [0] * full
     for key, v in pairs:
         out[key] |= v
     t, code = _lanes(out)
-    for shift, low in _lane_masks(n, code):
-        t |= (t & low) << shift
-    return _unlanes(t, code, full)
+    return _unlanes(_zeta(n, t, code), code, full)
 
 
 def _step_table(n: int, rule_masks: list[tuple[int, int]]) -> list[int]:
@@ -281,12 +279,13 @@ def _fixpoints(step: Iterable[int]) -> tuple[int, ...]:
 def _is_monotone(n: int, values: Sequence[int]) -> bool:
     """values[m] within values[m + b] for every mask m without bit b.
 
-    One whole-int test per bit decides all covering pairs at once: with the
-    values in lanes, ORing every lane without b into the lane b above it
-    changes nothing.
+    One whole-int test decides all covering pairs at once: the table is its
+    own subset transform.  Each step of `_zeta` only adds bits, so it ends
+    where it started exactly when no step ORed a lane into one above it
+    that lacked its bits.
     """
     t, code = _lanes(values)
-    return all((t | (t & low) << shift) == t for shift, low in _lane_masks(n, code))
+    return _zeta(n, t, code) == t
 
 
 def _covering_pairs(n: int, images: Sequence[int]) -> tuple[int, tuple[int, int] | None]:
@@ -307,6 +306,18 @@ def _covering_pairs(n: int, images: Sequence[int]) -> tuple[int, tuple[int, int]
                 if im & ~images[m | b]:
                     return checked, (m, m | b)
     return checked, None
+
+
+def _equal_tables(law: str, table: OperatorTable, want: tuple[int, ...]) -> LawResult:
+    """The law that table.images equals `want` on every mask.  One tuple
+    comparison decides it; `checked` is 2^n, and a failure names the first
+    mask where the two differ."""
+    images = table.images
+    witness = None
+    if images != want:
+        m = next(m for m, (a, b) in enumerate(zip(images, want)) if a != b)
+        witness = (table.set_of(m),)
+    return LawResult(law, witness is None, witness, len(images))
 
 
 def _agreement(law: str, table: OperatorTable, want: Sequence[int], select: Sequence[int]) -> LawResult:
@@ -354,19 +365,10 @@ def check_axioms(table: OperatorTable) -> LawReport:
     images = table.images
     n = len(table.universe)
     full = 1 << n
-    results = []
-
-    witness = None
-    if tuple(map(or_, images, range(full))) != images:
-        m = next(m for m in range(full) if images[m] | m != images[m])
-        witness = (table.set_of(m),)
-    results.append(LawResult("insertion", witness is None, witness, full))
-
-    witness = None
-    if tuple(map(images.__getitem__, images)) != images:
-        m = next(m for m in range(full) if images[images[m]] != images[m])
-        witness = (table.set_of(m),)
-    results.append(LawResult("idempotence", witness is None, witness, full))
+    results = [
+        _equal_tables("insertion", table, tuple(map(or_, images, range(full)))),
+        _equal_tables("idempotence", table, tuple(map(images.__getitem__, images))),
+    ]
 
     checked, pair = _covering_pairs(n, images)
     witness = pair and tuple(map(table.set_of, pair))
@@ -392,10 +394,8 @@ def equivalent(t1: OperatorTable, t2: OperatorTable) -> TableComparison:
     """Entry-by-entry equality; the witness is the first differing subset."""
     if t1.universe != t2.universe:
         raise UniverseMismatch("tables are over different universes")
-    if t1.images == t2.images:
-        return TableComparison(True)
-    m = next(m for m, (a, b) in enumerate(zip(t1.images, t2.images)) if a != b)
-    return TableComparison(False, t1.set_of(m))
+    result = _equal_tables("equivalent", t1, t2.images)
+    return TableComparison(result.passed, *(result.witness or ()))
 
 
 def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
@@ -415,9 +415,7 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     theorem's content.  That the engine's table matches the plain rule scan
     of `close_naive` is checked by the tests, not here.
     """
-    check = system.ternary_shape
-    if not check:
-        raise PreconditionViolated(f"not a mixed ternary system: {check.reason}")
+    _require_shape(system.ternary_shape, "ternary")
     syms = _universe(system.symbols, "system uses")
     n = len(syms)
     rule_masks = _rule_masks(system, syms)
@@ -452,20 +450,8 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     witness = pair and tuple(map(engine.set_of, pair))
     results.append(LawResult("matched-count", pair is None, witness, checked))
 
+    results.append(_equal_tables("closed-form-agreement", engine, one_pass))
     closed_form = OperatorTable(syms, one_pass)
-
-    cmp = equivalent(engine, closed_form)
-    results.append(
-        LawResult(
-            "closed-form-agreement",
-            cmp.equal,
-            None if cmp.equal else (cmp.witness,),
-            full,
-        )
-    )
-    for law in check_axioms(closed_form):
-        results.append(
-            LawResult(f"closed-form-{law.law}", law.passed, law.witness, law.checked)
-        )
+    results += (replace(law, law=f"closed-form-{law.law}") for law in check_axioms(closed_form))
 
     return LawReport(tuple(results))

@@ -10,6 +10,11 @@ collapse.  Deduction (see closure.py) only ever looks at a rule's premise
 Everything here is immutable after construction and safe to share between
 threads.  Building a `LogicSystem` compiles it once to integer symbol and
 rule ids, in time linear in the rules plus one sort; see its docstring.
+
+The two shapes whose closure is a single rule pass, mixed ternary
+(standard nonstandard => standard) and mixed binary (nonstandard =>
+standard), are one definition: `_SHAPES` gives the sort each position of a
+rule needs, and `_mixed_shape` recognizes either from the compiled form.
 """
 
 from __future__ import annotations
@@ -19,15 +24,18 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, not_, sub
 from typing import Iterable, Sequence
 
 from .errors import (
     BadIdentifier,
     EmptySystem,
     EmptyStandardPart,
+    InvalidValue,
     NameCollision,
     NullaryRule,
+    PreconditionViolated,
     UnknownSymbol,
 )
 
@@ -94,12 +102,10 @@ class Language:
     def __post_init__(self):
         object.__setattr__(self, "standard_part", frozenset(self.standard_part))
         object.__setattr__(self, "nonstandard_part", frozenset(self.nonstandard_part))
-        for s in self.standard_part:
-            if s.sort is not Sort.STANDARD:
-                raise ValueError(f"symbol {s.name!r} in standard part has sort {s.sort.value}")
-        for s in self.nonstandard_part:
-            if s.sort is not Sort.NONSTANDARD:
-                raise ValueError(f"symbol {s.name!r} in nonstandard part has sort {s.sort.value}")
+        for part, sort in ((self.standard_part, Sort.STANDARD), (self.nonstandard_part, Sort.NONSTANDARD)):
+            for s in part:
+                if s.sort is not sort:
+                    raise InvalidValue(f"symbol {s.name!r} in {sort.value} part has sort {s.sort.value}")
         if not self.standard_part:
             raise EmptyStandardPart("language needs at least one standard symbol")
         shared = {s.name for s in self.standard_part} & {s.name for s in self.nonstandard_part}
@@ -275,18 +281,14 @@ def make_system(
 ) -> LogicSystem:
     """Build a system from (premise-names, conclusion-name) tuples.
 
-    Duplicate tuples collapse; unknown names raise UnknownSymbol and an empty
-    premise sequence raises NullaryRule.
+    Duplicate tuples collapse; unknown names raise UnknownSymbol, an empty
+    premise sequence NullaryRule (from `Rule`) and an empty list EmptySystem
+    (from `LogicSystem`).
     """
-    if not rule_tuples:
-        raise EmptySystem("a logic system needs at least one rule")
-    rules = []
-    for premise_names, conclusion_name in rule_tuples:
-        premises = tuple(language.resolve(n) for n in premise_names)
-        conclusion = language.resolve(conclusion_name)
-        if not premises:
-            raise NullaryRule(f"rule concluding {conclusion_name!r} has no premises")
-        rules.append(Rule(premises, conclusion))
+    rules = [
+        Rule(tuple(map(language.resolve, premise_names)), language.resolve(conclusion_name))
+        for premise_names, conclusion_name in rule_tuples
+    ]
     return LogicSystem(language, tuple(rules))
 
 
@@ -301,47 +303,50 @@ class ShapeCheck:
         return self.ok
 
 
-def _standard_ids(system: LogicSystem) -> list[bool]:
-    """Whether each symbol id of the compiled system is standard."""
-    return [s.sort is Sort.STANDARD for s in system._symbols]
+# The rule shapes whose closure is a single pass: the sort each position of
+# a rule must have, premises first and the conclusion last, and the name a
+# diagnostic gives the position.
+_SHAPES = {
+    "ternary": (("first premise", Sort.STANDARD), ("second premise", Sort.NONSTANDARD),
+                ("conclusion", Sort.STANDARD)),
+    "binary": (("premise", Sort.NONSTANDARD), ("conclusion", Sort.STANDARD)),
+}
 
 
-def is_mixed_ternary(system: LogicSystem) -> ShapeCheck:
-    """Recognize the shape whose closure is a single rule pass.
-
-    Requires every rule to be ternary with a standard first premise, a
-    nonstandard second premise and a standard conclusion, and additionally
-    that no premise symbol of any rule equals a conclusion symbol of any
+def _mixed_shape(system: LogicSystem, label: str) -> ShapeCheck:
+    """Recognize a one-pass shape: every rule has the sorts `_SHAPES[label]`,
+    and no premise symbol of any rule equals a conclusion symbol of any
     rule.  The disjointness is what rules out chaining: a fired conclusion
     can never enable another rule.
 
-    The compiled form decides a passing system.  With every first premise
-    standard, a rule's second premise is nonstandard exactly when the rule
-    has a nonstandard premise, so the nonstandard premise ids must index
-    every rule once; nonstandard second premises never equal a standard
-    conclusion, so only the first premises are tested for disjointness.
+    The compiled form decides a passing system.  In both shapes every
+    premise after the first is nonstandard and every conclusion standard,
+    so with the first premises (`_firsts`) of the right sort, the premise
+    occurrences on nonstandard ids (CSR counts) number exactly the rules
+    times those positions, and only first premises can equal a conclusion.
     The rules are scanned only on failure, to name the first offending one.
     """
-    if system._arities == {3}:
-        std = _standard_ids(system)
+    shape = _SHAPES[label]
+    if system._arities == {len(shape)}:
+        # has[sort][i]: whether symbol id i has that sort
+        std = [s.sort is Sort.STANDARD for s in system._symbols]
+        has = {Sort.STANDARD: std, Sort.NONSTANDARD: [*map(not_, std)]}
+        nonstandard_positions = [sort for _, sort in shape[:-1]].count(Sort.NONSTANDARD)
         o = system._offsets
         if (
-            all(map(std.__getitem__, system._firsts))
-            and all(map(std.__getitem__, system._conclusions))
-            and sum(o[s + 1] - o[s] for s, is_std in enumerate(std) if not is_std) == len(system.rules)
-            and set(system._firsts).isdisjoint(system._conclusions)
+            all(map(has[shape[0][1]].__getitem__, system._firsts))
+            and all(map(has[shape[-1][1]].__getitem__, system._conclusions))
+            and sum(compress(map(sub, o[1:], o), has[Sort.NONSTANDARD]))
+            == len(system.rules) * nonstandard_positions
+            and set(system._conclusions).isdisjoint(system._firsts)
         ):
             return ShapeCheck(True)
     for rule in system.rules:
-        if rule.arity != 3:
-            return ShapeCheck(False, f"rule ({rule}) is not ternary")
-        first, second = rule.premises
-        if not first.is_standard:
-            return ShapeCheck(False, f"first premise {first.name} of rule ({rule}) is nonstandard")
-        if second.is_standard:
-            return ShapeCheck(False, f"second premise {second.name} of rule ({rule}) is standard")
-        if not rule.conclusion.is_standard:
-            return ShapeCheck(False, f"conclusion {rule.conclusion.name} of rule ({rule}) is nonstandard")
+        if rule.arity != len(shape):
+            return ShapeCheck(False, f"rule ({rule}) is not {label}")
+        for (where, sort), s in zip(shape, (*rule.premises, rule.conclusion)):
+            if s.sort is not sort:
+                return ShapeCheck(False, f"{where} {s.name} of rule ({rule}) is {s.sort.value}")
     conclusion_owner = {r.conclusion: r for r in reversed(system.rules)}
     for rule in system.rules:
         for p in rule.premises:
@@ -354,23 +359,20 @@ def is_mixed_ternary(system: LogicSystem) -> ShapeCheck:
     return ShapeCheck(True)
 
 
-def is_mixed_binary(system: LogicSystem) -> ShapeCheck:
-    """Recognize binary rules with a nonstandard premise and standard conclusion.
+def is_mixed_ternary(system: LogicSystem) -> ShapeCheck:
+    """Recognize the mixed ternary shape, standard nonstandard => standard,
+    with no premise a conclusion; see `_mixed_shape`."""
+    return _mixed_shape(system, "ternary")
 
-    Premise/conclusion disjointness holds automatically because the sorts of
-    a language are disjoint.  The compiled form decides a passing system;
-    the rules are scanned only on failure, to name the first offending one.
-    """
-    if system._arities == {2}:
-        std = _standard_ids(system)
-        if not any(map(std.__getitem__, system._firsts)) and all(map(std.__getitem__, system._conclusions)):
-            return ShapeCheck(True)
-    for rule in system.rules:
-        if rule.arity != 2:
-            return ShapeCheck(False, f"rule ({rule}) is not binary")
-        premise = rule.premises[0]
-        if premise.is_standard:
-            return ShapeCheck(False, f"premise {premise.name} of rule ({rule}) is standard")
-        if not rule.conclusion.is_standard:
-            return ShapeCheck(False, f"conclusion {rule.conclusion.name} of rule ({rule}) is nonstandard")
-    return ShapeCheck(True)
+
+def is_mixed_binary(system: LogicSystem) -> ShapeCheck:
+    """Recognize the mixed binary shape, nonstandard => standard; premises
+    and conclusions are disjoint because the sorts are.  See `_mixed_shape`."""
+    return _mixed_shape(system, "binary")
+
+
+def _require_shape(check: ShapeCheck, label: str) -> None:
+    """Raise PreconditionViolated unless `check`, a system's memoized
+    `ternary_shape` or `binary_shape`, passed."""
+    if not check:
+        raise PreconditionViolated(f"not a mixed {label} system: {check.reason}")

@@ -17,6 +17,7 @@ from conseq import (
     LanguageMismatch,
     OperatorTable,
     PreconditionViolated,
+    ShapeCheck,
     Sort,
     Symbol,
     UniverseIncomplete,
@@ -343,6 +344,40 @@ def test_characterization_handles_shared_premise_pairs():
     assert report.ok, [str(r) for r in report.failures]
     a1, l1 = lang.resolve("a1"), lang.resolve("l1")
     assert close(system, {a1, l1}) == set(lang.symbols)
+
+
+@pytest.mark.parametrize(
+    "rules, first_fail",
+    [
+        # b fires from {a, l} and chains into c: the first matched mask fails
+        ([(("a", "l"), "b"), (("b", "l"), "c")], (1, ("a", "l"))),
+        # {a, l} fires c, which chains nowhere; {b, l} fires a, which chains
+        # into c: the second matched mask is the first to fail
+        ([(("a", "l"), "c"), (("b", "l"), "a")], (2, ("b", "l"))),
+    ],
+)
+def test_characterization_rows_on_a_chaining_system(rules, first_fail):
+    # with the shape guard bypassed, one pass is not a fixpoint.  Universe
+    # a, b, c, l (bits 0-3); premise sets {a, l} = 9 and {b, l} = 10 match
+    # 6 of the 16 masks; covering pairs number 4 * 2^3 = 32.
+    lang = make_language({"a", "b", "c"}, {"l"})
+    system = make_system(lang, rules)
+    assert not system.ternary_shape
+    vars(system)["ternary_shape"] = ShapeCheck(True)
+    checked, names = first_fail
+    witness = (frozenset(map(lang.resolve, names)),)
+    rows = [(r.law, r.passed, r.checked, r.witness) for r in verify_closed_form_characterization(system)]
+    assert rows == [
+        ("no-match-fixed", True, 10, None),
+        ("match-union", False, checked, witness),
+        ("premise-set-values", False, 2, witness),
+        ("matched-count", True, 32, None),
+        ("closed-form-agreement", False, 16, witness),
+        ("closed-form-insertion", True, 16, None),
+        ("closed-form-idempotence", False, 16, witness),
+        ("closed-form-monotonicity", True, 32, None),
+        ("closed-form-finitary", True, 16, None),
+    ]
 
 
 @settings(max_examples=50)

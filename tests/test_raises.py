@@ -1,0 +1,103 @@
+"""Every error the package raises on purpose is a ConseqError.
+
+Statically, a stdlib `ast` walk resolves the class named by each `raise`
+under `src/conseq/` in its module's namespace; only argparse's own protocol
+in `cli.py` and the ParseError factory in `fileformat.py` are exempt.
+Dynamically, each argument check that a caller may also catch as a
+ValueError raises `InvalidValue`, which is both.
+"""
+
+import ast
+import builtins
+import importlib
+from pathlib import Path
+
+import pytest
+
+import conseq
+from conseq import ConseqError, InfluenceWeight, InvalidValue, Language, OperatorTable, Sort, Symbol
+
+MODULES = sorted(Path(conseq.__file__).parent.glob("*.py"))
+
+# (module file, raised name) pairs that are not ConseqErrors by design
+EXEMPT = {
+    ("cli.py", "SystemExit"),  # argparse's exit protocol
+    ("cli.py", "argparse.ArgumentTypeError"),  # argparse's type-converter protocol
+    ("fileformat.py", "_bad_name"),  # returns a ParseError
+}
+
+
+def dotted(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return f"{dotted(node.value)}.{node.attr}"
+    raise AssertionError(f"cannot name the raised expression {ast.dump(node)}")
+
+
+def raised_names(tree):
+    """(dotted name, line) for every `raise X(...)` or `raise X`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield dotted(exc), node.lineno
+
+
+def test_every_module_is_walked():
+    assert {p.name for p in MODULES} >= {"cli.py", "fileformat.py", "laws.py", "model.py"}
+    assert sum(1 for p in MODULES for _ in raised_names(ast.parse(p.read_text(encoding="utf-8")))) > 20
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_raises_only_conseq_errors(path):
+    module = importlib.import_module("conseq" if path.stem == "__init__" else f"conseq.{path.stem}")
+    bad = []
+    for name, line in raised_names(ast.parse(path.read_text(encoding="utf-8"))):
+        if (path.name, name) in EXEMPT:
+            continue
+        head, *rest = name.split(".")
+        obj = getattr(module, head) if hasattr(module, head) else getattr(builtins, head)
+        for part in rest:
+            obj = getattr(obj, part)
+        if not (isinstance(obj, type) and issubclass(obj, ConseqError)):
+            bad.append(f"{name} (line {line})")
+    assert not bad, f"{path.name} raises errors outside ConseqError: {', '.join(bad)}"
+
+
+X = Symbol("x", Sort.STANDARD)
+Y = Symbol("y", Sort.STANDARD)
+L = Symbol("l", Sort.NONSTANDARD)
+
+SITES = {
+    "table-distinct": (lambda: OperatorTable((X, X), (0, 1, 2, 3)), "universe symbols must be distinct"),
+    "table-sorted": (lambda: OperatorTable((Y, X), (0, 1, 2, 3)), "universe must be canonically sorted"),
+    "table-count": (lambda: OperatorTable((X,), (0,)), "expected 2 images, got 1"),
+    "table-image": (lambda: OperatorTable((X,), (0, 4)), "image of mask 1 leaves the universe"),
+    "from-function": (
+        lambda: OperatorTable.from_function((X,), lambda s: {Y}),
+        "image symbol 'y' is outside the universe",
+    ),
+    "mask-of": (
+        lambda: OperatorTable.from_function((X,), lambda s: s).mask_of({Y}),
+        "symbol 'y' is outside the universe",
+    ),
+    "language-standard": (
+        lambda: Language(frozenset({L}), frozenset()),
+        "symbol 'l' in standard part has sort nonstandard",
+    ),
+    "language-nonstandard": (
+        lambda: Language(frozenset({X}), frozenset({Y})),
+        "symbol 'y' in nonstandard part has sort standard",
+    ),
+    "influence-weight": (lambda: InfluenceWeight(X, -1), "multiplicity cannot be negative"),
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_value_checks_raise_conseq_errors(site):
+    call, message = SITES[site]
+    with pytest.raises(InvalidValue) as info:
+        call()
+    assert isinstance(info.value, ConseqError)
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == message
