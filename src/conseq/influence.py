@@ -7,6 +7,12 @@ tuples, the matched rules necessarily differ in their nonstandard middle
 coordinate, so the multiplicity is the number of distinct repetitions.  For
 binary systems the anchor is the conclusion alone.
 
+The counts read the arrays `LogicSystem` compiles, never the `Rule` objects.
+In a system of one arity the canonical order sorts rules by first premise
+id, so `weight_ternary` bisects the run of rules anchored on `a` and counts
+`b` within it: O(log m + k) for m rules and a run of k.  `weight_binary`
+counts one conclusion id over all m conclusion ids in a single C-level pass.
+
 Only the strict comparison is defined; equal multiplicities are reported as
 incomparable rather than inventing a tie-break.  Weights from different
 systems compare by number only.
@@ -15,7 +21,10 @@ systems compare by number only.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import eq
 
 from .errors import InvalidValue, PreconditionViolated, UnknownSymbol
 from .model import LogicSystem, Rule, Symbol
@@ -58,14 +67,15 @@ def _require_uniform_arity(system: LogicSystem, arity: int, label: str) -> None:
 
 def matched_rules_ternary(system: LogicSystem, a: Symbol, b: Symbol) -> tuple[Rule, ...]:
     """Rules with first premise `a` and conclusion `b`, in canonical order."""
-    return tuple(
-        r for r in system.rules if r.premises[0] == a and r.conclusion == b
-    )
+    anchor = (system._ids.get(a), system._ids.get(b))
+    matches = map(eq, zip(system._firsts, system._conclusions), repeat(anchor))
+    return tuple(compress(system.rules, matches))
 
 
 def matched_rules_binary(system: LogicSystem, b: Symbol) -> tuple[Rule, ...]:
     """Rules concluding `b`, in canonical order."""
-    return tuple(r for r in system.rules if r.conclusion == b)
+    matches = map(eq, system._conclusions, repeat(system._ids.get(b)))
+    return tuple(compress(system.rules, matches))
 
 
 def weight_ternary(system: LogicSystem, a: Symbol, b: Symbol) -> InfluenceWeight:
@@ -74,7 +84,11 @@ def weight_ternary(system: LogicSystem, a: Symbol, b: Symbol) -> InfluenceWeight
     _require_uniform_arity(system, 3, "ternary")
     _require_symbol(system, a)
     _require_symbol(system, b)
-    count = len(matched_rules_ternary(system, a, b))
+    # one arity: `_firsts` is non-decreasing, so `a`'s rules are one run
+    first = system._ids[a]
+    lo = bisect_left(system._firsts, first)
+    hi = bisect_right(system._firsts, first, lo)
+    count = system._conclusions[lo:hi].count(system._ids[b])
     return InfluenceWeight(conclusion=b, multiplicity=count, anchor_premise=a)
 
 
@@ -82,7 +96,7 @@ def weight_binary(system: LogicSystem, b: Symbol) -> InfluenceWeight:
     """Count the rules of a binary system concluding `b`."""
     _require_uniform_arity(system, 2, "binary")
     _require_symbol(system, b)
-    count = len(matched_rules_binary(system, b))
+    count = system._conclusions.count(system._ids[b])
     return InfluenceWeight(conclusion=b, multiplicity=count)
 
 

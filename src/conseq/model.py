@@ -177,12 +177,15 @@ class LogicSystem:
     one sort of flat integer keys, and keeps no container per rule.  Ids
     number the language's symbols by name (`_symbols`; `_ids` maps back),
     so the key (premise count, premise ids, conclusion id) sorts rules in
-    the canonical order.  Per rule: `premise_counts` (distinct premises)
-    and `_conclusions` (ids); the rules having premise id s are
-    `_premise_rules[_offsets[s]:_offsets[s + 1]]` (CSR); `_arities` holds
-    the arities.  `close` reads only these.  `premise_index` is a view of
-    them built on first use, `first_premise_index` one built on the first
-    one-pass query.
+    the canonical order.  Per rule: `premise_counts` (distinct premises),
+    `_firsts` (first premise ids) and `_conclusions` (ids).  When every
+    rule has one arity the key sorts by first premise id, so `_firsts` is
+    non-decreasing and the rules sharing a first premise form one run,
+    which `influence.weight_ternary` bisects.  The rules having premise id
+    s are `_premise_rules[_offsets[s]:_offsets[s + 1]]` (CSR); `_arities`
+    holds the arities.  `close` reads only these.  `premise_index` is a
+    view of them built on first use, `first_premise_index` one built on the
+    first one-pass query.
     """
 
     language: Language

@@ -13,13 +13,14 @@ from conseq import (
     UnknownSymbol,
     close,
     compare_influence,
+    matched_rules_binary,
     matched_rules_ternary,
     weight_binary,
     weight_ternary,
     make_language,
     make_system,
 )
-from strategies import mixed_binary_systems, mixed_ternary_systems
+from strategies import mixed_binary_systems, mixed_ternary_systems, systems
 
 
 @pytest.fixture
@@ -133,3 +134,63 @@ def test_matched_subsystem_adds_exactly_the_conclusion(system):
         sub = LogicSystem(lang, matched)
         x = frozenset().union(*(r.premise_set for r in matched))
         assert close(sub, x) - x == {b}
+
+
+def _ternary_matches(system, a, b):
+    return tuple(r for r in system.rules if r.premises[0] == a and r.conclusion == b)
+
+
+def _binary_matches(system, b):
+    return tuple(r for r in system.rules if r.conclusion == b)
+
+
+class _Unscannable:
+    """Stands in for `LogicSystem.rules`; any walk over it fails the test."""
+
+    def __iter__(self):
+        raise AssertionError("the rules were scanned")
+
+    def __getitem__(self, i):
+        raise AssertionError("the rules were scanned")
+
+
+def _unscannable(system):
+    """A copy of `system` whose counts must come from the compiled form."""
+    blind = LogicSystem(system.language, system.rules)
+    object.__setattr__(blind, "rules", _Unscannable())
+    return blind
+
+
+# The pairs run over `_symbols`, which holds the language in id order, so
+# they include pairs with no match and the lowest and highest ids, the
+# edges of the first-premise runs that `weight_ternary` bisects.
+
+
+@given(systems(min_arity=3, max_arity=3))
+def test_weight_ternary_equals_a_plain_count_without_scanning_rules(system):
+    blind = _unscannable(system)
+    for a in system._symbols:
+        for b in system._symbols:
+            matched = _ternary_matches(system, a, b)
+            assert weight_ternary(blind, a, b).multiplicity == len(matched)
+            assert matched_rules_ternary(system, a, b) == matched
+
+
+@given(systems(min_arity=2, max_arity=2))
+def test_weight_binary_equals_a_plain_count_without_scanning_rules(system):
+    blind = _unscannable(system)
+    for b in system._symbols:
+        matched = _binary_matches(system, b)
+        assert weight_binary(blind, b).multiplicity == len(matched)
+        assert matched_rules_binary(system, b) == matched
+
+
+@given(systems())
+def test_matched_rules_equal_a_plain_scan_at_any_arity(system):
+    outside = Symbol("zz", Sort.STANDARD)
+    for b in (*system._symbols, outside):
+        assert matched_rules_binary(system, b) == _binary_matches(system, b)
+        for a in (*system._symbols, outside):
+            assert matched_rules_ternary(system, a, b) == _ternary_matches(system, a, b)
+    assert matched_rules_binary(system, outside) == ()
+    assert matched_rules_ternary(system, outside, system._symbols[0]) == ()

@@ -337,3 +337,12 @@ def test_shape_reasons_on_generated_systems(system):
 @given(near_shaped_systems())
 def test_shape_reasons_name_the_first_offending_rule(system):
     assert_shape_reasons(system)
+
+
+@given(st.integers(2, 4).flatmap(lambda k: systems(max_rules=8, min_arity=k, max_arity=k)))
+def test_first_premise_ids_are_sorted_in_uniform_arity_systems(system):
+    # the canonical key of one arity starts with the first premise id, so
+    # the rules anchored on one first premise form a single run
+    firsts = system._firsts
+    assert list(firsts) == sorted(firsts)
+    assert firsts == tuple(system._ids[r.premises[0]] for r in system.rules)
