@@ -40,6 +40,8 @@ DeductionSet = frozenset[Symbol]
 def _deduction_set(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
     x = frozenset(members)
     if not x <= system.language.symbols:
+        if odd := sorted(repr(m) for m in x if not isinstance(m, Symbol)):
+            raise LanguageMismatch(f"member {odd[0]} is not a Symbol")
         stray = min(x - system.language.symbols, key=symbol_key)
         raise LanguageMismatch(
             f"symbol {stray.name!r} ({stray.sort.value}) is not in the system's language"

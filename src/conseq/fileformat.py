@@ -13,7 +13,9 @@ and a leading '*' in set syntax can never be part of a name.  Declarations
 are gathered from the whole file before rules are validated, so
 declaration order does not matter.  All errors carry a 1-based line and
 column; arbitrary bytes never crash the parser, they produce a ParseError
-(invalid UTF-8 included).
+(invalid UTF-8 included).  A rule may repeat: the parser keeps every rule
+line in file order and `LogicSystem` collapses the duplicates, recording
+which line each kept rule came from (`SystemDocument.rule_lines`).
 
 Canonical rendering emits one declaration line per sort with names sorted
 lexicographically (the nonstandard line is dropped when empty), then the
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import (
     EmptyStandardPart,
@@ -43,12 +45,13 @@ KEYWORDS = ("standard", "nonstandard", "rule")
 @dataclass(frozen=True, eq=False)
 class SystemDocument:
     """A parsed document: the language, the system, and where each rule came
-    from (first source line of the tuple, since duplicates collapse)."""
+    from: `rule_lines[i]` is the first source line holding `system.rules[i]`
+    (duplicates collapse in `LogicSystem`, which keeps the first)."""
 
     source_name: str
     language: Language
     system: LogicSystem
-    line_map: Mapping[Rule, int] = field(repr=False)
+    rule_lines: tuple[int, ...] = field(repr=False)
 
 
 def _decode(data: bytes) -> str:
@@ -120,14 +123,15 @@ def parse_system(text: str | bytes, source_name: str = "<string>") -> SystemDocu
 
     The first pass splits each directive's payload with `str.split` and
     checks all of its names with one regex match; the second resolves each
-    rule name through the declaration table.  Columns are worked out only
-    for an error.
+    rule name through the declaration table.  The rules go to `LogicSystem`
+    in file order, and the input index it records for each rule it keeps
+    gives that rule's line.  Columns are worked out only for an error.
     """
     if isinstance(text, bytes):
         text = _decode(text)
     lines = text.split("\n")
     declared: dict[str, tuple[Sort, int]] = {}  # name -> (sort, first line)
-    rule_lines: list[tuple[int, list[str]]] = []  # (line, premise names + conclusion)
+    rule_names: list[tuple[int, list[str]]] = []  # (line, premise names + conclusion)
 
     for lineno, raw in enumerate(lines, start=1):
         head, colon, payload = raw.partition(":")
@@ -173,28 +177,28 @@ def parse_system(text: str | bytes, source_name: str = "<string>") -> SystemDocu
         bad = _first_bad_name(tokens)
         if bad is not None:
             raise _bad_name(tokens[bad], lineno, _rule_columns(raw)[bad])
-        rule_lines.append((lineno, tokens))
+        rule_names.append((lineno, tokens))
 
     # resolve rule names against the gathered declarations, in file order
     symbol_of = {name: Symbol(name, sort) for name, (sort, _) in declared.items()}
-    line_map: dict[Rule, int] = {}
-    for lineno, names in rule_lines:
+    rules: list[Rule] = []
+    for lineno, names in rule_names:
         try:
             *premises, conclusion = map(symbol_of.__getitem__, names)
         except KeyError as e:
             col = _rule_columns(lines[lineno - 1])[names.index(e.args[0])]
             raise UnknownSymbol(f"unknown symbol {e.args[0]!r}", line=lineno, col=col) from None
-        line_map.setdefault(Rule(tuple(premises), conclusion), lineno)
+        rules.append(Rule(tuple(premises), conclusion))
 
     std = frozenset(s for s in symbol_of.values() if s.sort is Sort.STANDARD)
     if not std:
         # a document-level condition; anchored at the start for uniformity
         raise EmptyStandardPart("document declares no standard symbols", line=1, col=1)
     language = Language(std, frozenset(symbol_of.values()) - std)
-    if not line_map:
+    if not rules:
         raise EmptySystem("document contains no rules", line=1, col=1)
-    system = LogicSystem(language, tuple(line_map))
-    return SystemDocument(source_name, language, system, line_map)
+    system = LogicSystem(language, rules)
+    return SystemDocument(source_name, language, system, tuple(rule_names[i][0] for i in system._sources))
 
 
 def render_system(doc: "SystemDocument | LogicSystem") -> str:

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import enum
 import re
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import attrgetter, not_, sub
+from operator import attrgetter, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -169,23 +170,29 @@ class Rule:
 class LogicSystem:
     """A nonempty set of rules over one language.
 
-    Rules are stored deduplicated in a canonical order (arity, premise names,
+    `rules` may be any iterable of rules; it is read once.  Rules are
+    stored deduplicated in a canonical order (arity, premise names,
     conclusion), so equal systems compare equal and iteration, diagnostics,
-    and rendering are deterministic.
+    and rendering are deterministic.  This is the one place where duplicate
+    rules collapse: the first occurrence of each is kept, and `_sources[i]`
+    is the input position of `rules[i]` (the parser's source lines go by
+    it).
 
     Construction compiles the system once, in time linear in its size plus
     one sort of flat integer keys, and keeps no container per rule.  Ids
     number the language's symbols by name (`_symbols`; `_ids` maps back),
     so the key (premise count, premise ids, conclusion id) sorts rules in
-    the canonical order.  Per rule: `premise_counts` (distinct premises),
-    `_firsts` (first premise ids) and `_conclusions` (ids).  When every
-    rule has one arity the key sorts by first premise id, so `_firsts` is
-    non-decreasing and the rules sharing a first premise form one run,
-    which `influence.weight_ternary` bisects.  The rules having premise id
-    s are `_premise_rules[_offsets[s]:_offsets[s + 1]]` (CSR); `_arities`
-    holds the arities.  `close` reads only these.  `premise_index` is a
-    view of them built on first use, `first_premise_index` one built on the
-    first one-pass query.
+    the canonical order.  `_of_sort[sort]` holds one byte per id, 1 where
+    the id has that sort, compiled here so that the shape checks do not
+    rebuild it.  Per rule: `premise_counts` (distinct premises), `_firsts`
+    (first premise ids) and `_conclusions` (ids).  When every rule has one
+    arity the key sorts by first premise id, so `_firsts` is non-decreasing
+    and the rules sharing a first premise form one run, which
+    `influence.weight_ternary` bisects.  The rules having premise id s are
+    `_premise_rules[_offsets[s]:_offsets[s + 1]]` (CSR); `_arities` holds
+    the arities.  `close`, `symbols`, `conclusions` and a passing shape
+    check read only these.  `premise_index` is a view of them built on
+    first use, `first_premise_index` one built on the first one-pass query.
     """
 
     language: Language
@@ -194,14 +201,15 @@ class LogicSystem:
     def __post_init__(self):
         symbols = tuple(sorted(self.language.symbols, key=attrgetter("name")))
         ids = {s: i for i, s in enumerate(symbols)}
-        keyed: dict[tuple[int, ...], Rule] = {}
-        for rule in self.rules:
+        rules = tuple(self.rules)  # any iterable, read once
+        keyed: dict[tuple[int, ...], int] = {}  # key -> input index of its first rule
+        for i, rule in enumerate(rules):
             try:
                 key = (len(rule.premises), *map(ids.__getitem__, rule.premises), ids[rule.conclusion])
             except KeyError as e:
                 stray = e.args[0].name
                 raise UnknownSymbol(f"rule ({rule}) uses symbol {stray!r} not in the language") from None
-            keyed.setdefault(key, rule)
+            keyed.setdefault(key, i)
         if not keyed:
             raise EmptySystem("a logic system needs at least one rule")
         keys = sorted(keyed)
@@ -210,9 +218,11 @@ class LogicSystem:
         # premise occurrence (p, rule i) as p * m + i: sorts by premise, then rule
         codes = sorted(p * m + i for i, ps in enumerate(distinct) for p in ps)
         put = object.__setattr__
-        put(self, "rules", tuple(map(keyed.__getitem__, keys)))
+        put(self, "_sources", array("q", map(keyed.__getitem__, keys)))  # no int object per rule
+        put(self, "rules", tuple(map(rules.__getitem__, self._sources)))
         put(self, "_symbols", symbols)
         put(self, "_ids", ids)
+        put(self, "_of_sort", {sort: bytes(s.sort is sort for s in symbols) for sort in Sort})
         put(self, "_offsets", tuple(bisect_left(codes, s * m) for s in range(len(symbols) + 1)))
         put(self, "_premise_rules", tuple(c % m for c in codes))
         put(self, "premise_counts", tuple(map(len, distinct)))
@@ -222,16 +232,15 @@ class LogicSystem:
 
     @cached_property
     def symbols(self) -> frozenset[Symbol]:
-        """All symbols that appear in some rule."""
-        out: set[Symbol] = set()
-        for rule in self.rules:
-            out.update(rule.premises)
-            out.add(rule.conclusion)
-        return frozenset(out)
+        """All symbols that appear in some rule: the ids with a premise
+        occurrence or a rule concluding them."""
+        o = self._offsets
+        ids = {*compress(range(len(self._symbols)), map(sub, o[1:], o)), *self._conclusions}
+        return frozenset(map(self._symbols.__getitem__, ids))
 
     @cached_property
     def conclusions(self) -> frozenset[Symbol]:
-        return frozenset(r.conclusion for r in self.rules)
+        return frozenset(map(self._symbols.__getitem__, set(self._conclusions)))
 
     @cached_property
     def premise_index(self) -> dict[Symbol, tuple[int, ...]]:
@@ -284,15 +293,17 @@ def make_system(
 ) -> LogicSystem:
     """Build a system from (premise-names, conclusion-name) tuples.
 
-    Duplicate tuples collapse; unknown names raise UnknownSymbol, an empty
+    Duplicate tuples collapse; unknown names raise UnknownSymbol, premises
+    given as one string (not a sequence of names) InvalidValue, an empty
     premise sequence NullaryRule (from `Rule`) and an empty list EmptySystem
     (from `LogicSystem`).
     """
-    rules = [
-        Rule(tuple(map(language.resolve, premise_names)), language.resolve(conclusion_name))
-        for premise_names, conclusion_name in rule_tuples
-    ]
-    return LogicSystem(language, tuple(rules))
+    rules = []
+    for premise_names, conclusion_name in rule_tuples:
+        if isinstance(premise_names, str):
+            raise InvalidValue(f"premises {premise_names!r} are a string, not a sequence of names")
+        rules.append(Rule(tuple(map(language.resolve, premise_names)), language.resolve(conclusion_name)))
+    return LogicSystem(language, rules)
 
 
 @dataclass(frozen=True)
@@ -322,25 +333,23 @@ def _mixed_shape(system: LogicSystem, label: str) -> ShapeCheck:
     rule.  The disjointness is what rules out chaining: a fired conclusion
     can never enable another rule.
 
-    The compiled form decides a passing system.  In both shapes every
-    premise after the first is nonstandard and every conclusion standard,
-    so with the first premises (`_firsts`) of the right sort, the premise
+    The compiled form decides a passing system, reading each id's sort from
+    `_of_sort`.  In both shapes every premise after the first is nonstandard
+    and every conclusion standard, so with the first premises (`_firsts`)
+    of the right sort, the premise
     occurrences on nonstandard ids (CSR counts) number exactly the rules
     times those positions, and only first premises can equal a conclusion.
     The rules are scanned only on failure, to name the first offending one.
     """
     shape = _SHAPES[label]
     if system._arities == {len(shape)}:
-        # has[sort][i]: whether symbol id i has that sort
-        std = [s.sort is Sort.STANDARD for s in system._symbols]
-        has = {Sort.STANDARD: std, Sort.NONSTANDARD: [*map(not_, std)]}
         nonstandard_positions = [sort for _, sort in shape[:-1]].count(Sort.NONSTANDARD)
         o = system._offsets
         if (
-            all(map(has[shape[0][1]].__getitem__, system._firsts))
-            and all(map(has[shape[-1][1]].__getitem__, system._conclusions))
-            and sum(compress(map(sub, o[1:], o), has[Sort.NONSTANDARD]))
-            == len(system.rules) * nonstandard_positions
+            all(map(system._of_sort[shape[0][1]].__getitem__, system._firsts))
+            and all(map(system._of_sort[shape[-1][1]].__getitem__, system._conclusions))
+            and sum(compress(map(sub, o[1:], o), system._of_sort[Sort.NONSTANDARD]))
+            == len(system._conclusions) * nonstandard_positions
             and set(system._conclusions).isdisjoint(system._firsts)
         ):
             return ShapeCheck(True)

@@ -2,7 +2,8 @@
 
 The hypothesis composites shrink nicely and drive the property tests; the
 `random_*` builders take a `random.Random` and are used where a test needs
-hundreds of systems fast (the acceptance suite).
+hundreds of systems fast (the acceptance suite).  `unscannable` makes a
+copy of a system whose answers must come from its compiled form.
 """
 
 import random
@@ -132,3 +133,21 @@ def random_mixed_binary(rng: random.Random, universe_size: int, max_rules=5):
         for _ in range(rng.randint(1, max_rules))
     ]
     return make_system(lang, tuples)
+
+
+class Unscannable:
+    """Stands in for `LogicSystem.rules`; any walk over it fails the test."""
+
+    def __iter__(self):
+        raise AssertionError("the rules were scanned")
+
+    def __getitem__(self, i):
+        raise AssertionError("the rules were scanned")
+
+
+def unscannable(system: LogicSystem) -> LogicSystem:
+    """A fresh copy of `system` (nothing memoized) whose `rules` cannot be
+    walked, so whatever it answers comes from the compiled form."""
+    blind = LogicSystem(system.language, system.rules)
+    object.__setattr__(blind, "rules", Unscannable())
+    return blind

@@ -93,6 +93,15 @@ def test_close_rejects_foreign_symbols(single_rule):
         close(system, {Symbol("zz", Sort.STANDARD)})
 
 
+@pytest.mark.parametrize("evaluate", [step, close, close_naive, closed_form_ternary, closed_form_binary])
+def test_a_bare_name_in_the_input_is_a_language_mismatch(evaluate):
+    lang = make_language({"a1", "b1"}, {"l1"})
+    rules = [(("l1",), "b1")] if evaluate is closed_form_binary else [(("a1", "l1"), "b1")]
+    system = make_system(lang, rules)
+    with pytest.raises(LanguageMismatch, match=r"^member 'a1' is not a Symbol$"):
+        evaluate(system, {"a1", lang.resolve("l1")})
+
+
 def test_foreign_symbol_report_ignores_input_order():
     # two strays share a name and a hash; the report names the first by
     # (name, sort), whatever order the input lists them in

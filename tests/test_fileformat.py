@@ -17,6 +17,7 @@ from conseq import (
     EmptySystem,
     NameCollision,
     ParseError,
+    Rule,
     Sort,
     Symbol,
     UnknownSymbol,
@@ -59,11 +60,27 @@ def test_rule_before_declarations_is_fine():
     assert parse_system(text).system == parse_system(BASIC).system
 
 
-def test_line_map_points_at_first_occurrence():
-    text = "standard: a1 b1\nnonstandard: l1\nrule: a1 l1 => b1\nrule: a1 l1 => b1\n"
-    doc = parse_system(text)
-    assert set(doc.line_map) == set(doc.system.rules)
-    assert doc.line_map[doc.system.rules[0]] == 3
+@given(st.one_of(systems(), named_systems()), st.randoms(use_true_random=False))
+def test_rule_lines_point_at_first_occurrence(system, rng):
+    # the rendered lines shuffled, with some rules repeated
+    lines = render_system(system).splitlines()
+    lines += rng.choices([line for line in lines if line.startswith("rule:")], k=len(system))
+    rng.shuffle(lines)
+    doc = parse_system("\n".join(lines))
+    assert doc.system == system
+    assert len(doc.rule_lines) == len(doc.system)
+    for rule, line in zip(doc.system.rules, doc.rule_lines):
+        assert line == lines.index(f"rule: {rule}") + 1
+
+
+def test_parse_hashes_no_rule(monkeypatch):
+    def refuse(rule):
+        raise AssertionError("a Rule was hashed")
+
+    monkeypatch.setattr(Rule, "__hash__", refuse)
+    doc = parse_system(BASIC + "rule: a1 => b1\nrule: a1 l1 => b1\n")
+    assert [str(r) for r in doc.system.rules] == ["a1 => b1", "a1 l1 => b1"]
+    assert doc.rule_lines == (4, 3)
 
 
 def location(err: ConseqError):

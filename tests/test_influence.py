@@ -20,7 +20,7 @@ from conseq import (
     make_language,
     make_system,
 )
-from strategies import mixed_binary_systems, mixed_ternary_systems, systems
+from strategies import mixed_binary_systems, mixed_ternary_systems, systems, unscannable
 
 
 @pytest.fixture
@@ -144,23 +144,6 @@ def _binary_matches(system, b):
     return tuple(r for r in system.rules if r.conclusion == b)
 
 
-class _Unscannable:
-    """Stands in for `LogicSystem.rules`; any walk over it fails the test."""
-
-    def __iter__(self):
-        raise AssertionError("the rules were scanned")
-
-    def __getitem__(self, i):
-        raise AssertionError("the rules were scanned")
-
-
-def _unscannable(system):
-    """A copy of `system` whose counts must come from the compiled form."""
-    blind = LogicSystem(system.language, system.rules)
-    object.__setattr__(blind, "rules", _Unscannable())
-    return blind
-
-
 # The pairs run over `_symbols`, which holds the language in id order, so
 # they include pairs with no match and the lowest and highest ids, the
 # edges of the first-premise runs that `weight_ternary` bisects.
@@ -168,7 +151,7 @@ def _unscannable(system):
 
 @given(systems(min_arity=3, max_arity=3))
 def test_weight_ternary_equals_a_plain_count_without_scanning_rules(system):
-    blind = _unscannable(system)
+    blind = unscannable(system)
     for a in system._symbols:
         for b in system._symbols:
             matched = _ternary_matches(system, a, b)
@@ -178,7 +161,7 @@ def test_weight_ternary_equals_a_plain_count_without_scanning_rules(system):
 
 @given(systems(min_arity=2, max_arity=2))
 def test_weight_binary_equals_a_plain_count_without_scanning_rules(system):
-    blind = _unscannable(system)
+    blind = unscannable(system)
     for b in system._symbols:
         matched = _binary_matches(system, b)
         assert weight_binary(blind, b).multiplicity == len(matched)

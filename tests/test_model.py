@@ -8,6 +8,7 @@ from conseq import (
     BadIdentifier,
     EmptyStandardPart,
     EmptySystem,
+    InvalidValue,
     Language,
     LogicSystem,
     NameCollision,
@@ -21,7 +22,7 @@ from conseq import (
     make_language,
     make_system,
 )
-from strategies import mixed_binary_systems, mixed_ternary_systems, named_systems, systems
+from strategies import mixed_binary_systems, mixed_ternary_systems, named_systems, systems, unscannable
 
 
 def test_make_language_counts_parts():
@@ -94,6 +95,14 @@ def test_make_system_collapses_duplicates():
     lang = make_language({"a1", "b1"}, {"l1"})
     system = make_system(lang, [(("a1", "l1"), "b1"), (("a1", "l1"), "b1")])
     assert len(system) == 1
+
+
+def test_make_system_rejects_premises_given_as_one_string():
+    # every character and the whole string name a symbol, so splitting the
+    # string would silently build the rule a b => c
+    lang = make_language({"a", "b", "c", "ab"}, set())
+    with pytest.raises(InvalidValue, match="'ab' are a string"):
+        make_system(lang, [("ab", "c")])
 
 
 def test_make_system_unknown_symbol():
@@ -337,6 +346,26 @@ def test_shape_reasons_on_generated_systems(system):
 @given(near_shaped_systems())
 def test_shape_reasons_name_the_first_offending_rule(system):
     assert_shape_reasons(system)
+
+
+@given(st.one_of(systems(), mixed_ternary_systems(), mixed_binary_systems()))
+def test_symbols_conclusions_and_passing_shapes_read_only_the_compiled_form(system):
+    blind = unscannable(system)
+    assert blind.symbols == {s for r in system.rules for s in (*r.premises, r.conclusion)}
+    assert blind.conclusions == {r.conclusion for r in system.rules}
+    for recognize in (is_mixed_ternary, is_mixed_binary):
+        if recognize(system):
+            assert recognize(blind)
+
+
+@given(st.one_of(systems(), named_systems()), st.randoms(use_true_random=False))
+def test_each_kept_rule_records_its_first_input_position(system, rng):
+    rules = [*system.rules, *rng.choices(system.rules, k=len(system))]
+    rng.shuffle(rules)
+    # a generator is read once
+    rebuilt = LogicSystem(system.language, (r for r in rules))
+    assert rebuilt == system
+    assert [rules.index(r) for r in rebuilt.rules] == list(rebuilt._sources)
 
 
 @given(st.integers(2, 4).flatmap(lambda k: systems(max_rules=8, min_arity=k, max_arity=k)))
