@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DuplicateElement, LanguageMismatch, TooShort
-from .model import Language, LogicSystem, Rule, Sort, Symbol, _require_shape, symbol_key
+from .model import Language, LogicSystem, Rule, Sort, Symbol, _require_shape, _require_symbols, symbol_key
 
 # Deduction sets are plain frozensets of symbols over the system's language;
 # mixing sorts is fine.
@@ -38,10 +38,12 @@ DeductionSet = frozenset[Symbol]
 
 
 def _deduction_set(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
-    x = frozenset(members)
+    try:
+        x = frozenset(members)
+    except TypeError as e:  # costs nothing unless raised
+        raise LanguageMismatch(f"a member is not a Symbol: {e}") from None
     if not x <= system.language.symbols:
-        if odd := sorted(repr(m) for m in x if not isinstance(m, Symbol)):
-            raise LanguageMismatch(f"member {odd[0]} is not a Symbol")
+        _require_symbols(x)
         stray = min(x - system.language.symbols, key=symbol_key)
         raise LanguageMismatch(
             f"symbol {stray.name!r} ({stray.sort.value}) is not in the system's language"

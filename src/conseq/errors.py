@@ -7,6 +7,8 @@ document carry an optional 1-based source location.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 
 class ConseqError(Exception):
     """Base class for all conseq errors."""
@@ -38,6 +40,14 @@ class InvalidValue(ConseqError, ValueError):
 
 class BadIdentifier(ConseqError):
     """Symbol name is not an identifier matching [A-Za-z0-9_]+."""
+
+
+class FrozenSymbol(ConseqError, FrozenInstanceError):
+    """A symbol's fields cannot be assigned or deleted.
+
+    Also the FrozenInstanceError (an AttributeError) that frozen dataclasses
+    raise, so code that catches either still catches it.
+    """
 
 
 class EmptyStandardPart(ConseqError):

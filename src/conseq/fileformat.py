@@ -129,6 +129,17 @@ def parse_system(text: str | bytes, source_name: str = "<string>") -> SystemDocu
     """
     if isinstance(text, bytes):
         text = _decode(text)
+    language, rules, linenos = _read(text)
+    system = LogicSystem(language, rules)
+    return SystemDocument(source_name, language, system, tuple(map(linenos.__getitem__, system._sources)))
+
+
+def _read(text: str) -> tuple[Language, list[Rule], list[int]]:
+    """The language, the rules in file order and the line of each rule.
+
+    A function of its own so that the lines, tokens and declaration tables
+    are freed before `LogicSystem` compiles the rules, which is the peak of
+    a parse's memory."""
     lines = text.split("\n")
     declared: dict[str, tuple[Sort, int]] = {}  # name -> (sort, first line)
     rule_names: list[tuple[int, list[str]]] = []  # (line, premise names + conclusion)
@@ -197,8 +208,7 @@ def parse_system(text: str | bytes, source_name: str = "<string>") -> SystemDocu
     language = Language(std, frozenset(symbol_of.values()) - std)
     if not rules:
         raise EmptySystem("document contains no rules", line=1, col=1)
-    system = LogicSystem(language, rules)
-    return SystemDocument(source_name, language, system, tuple(rule_names[i][0] for i in system._sources))
+    return language, rules, [lineno for lineno, _ in rule_names]
 
 
 def render_system(doc: "SystemDocument | LogicSystem") -> str:

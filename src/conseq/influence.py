@@ -27,7 +27,7 @@ from itertools import compress, repeat
 from operator import eq
 
 from .errors import InvalidValue, PreconditionViolated, UnknownSymbol
-from .model import LogicSystem, Rule, Symbol
+from .model import LogicSystem, Rule, Symbol, _require_symbols
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,7 @@ class Strength(enum.Enum):
 
 def _require_symbol(system: LogicSystem, s: Symbol) -> None:
     if s not in system.language:
+        _require_symbols((s,))
         raise UnknownSymbol(f"symbol {s.name!r} is not in the system's language")
 
 

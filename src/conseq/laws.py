@@ -50,7 +50,7 @@ from .errors import (
     UniverseTooLarge,
 )
 from .fileformat import render_set
-from .model import LogicSystem, Symbol, _require_shape, symbol_key
+from .model import LogicSystem, Symbol, _require_shape, _require_symbols, symbol_key
 
 UNIVERSE_CAP = 16
 
@@ -184,7 +184,12 @@ class TableComparison:
 def _universe(symbols: Iterable[Symbol], lead: str = "universe has") -> tuple[Symbol, ...]:
     """The distinct `symbols` in canonical order, at most UNIVERSE_CAP of
     them; `lead` opens the error message."""
-    syms = tuple(sorted(set(symbols), key=symbol_key))
+    try:
+        members = set(symbols)
+    except TypeError as e:
+        raise LanguageMismatch(f"a member is not a Symbol: {e}") from None
+    _require_symbols(members)
+    syms = tuple(sorted(members, key=symbol_key))
     if len(syms) > UNIVERSE_CAP:
         raise UniverseTooLarge(f"{lead} {len(syms)} symbols; the cap is {UNIVERSE_CAP}")
     return syms

@@ -25,6 +25,9 @@ from conseq import (
     make_language,
     make_system,
     step,
+    tabulate,
+    weight_binary,
+    weight_ternary,
 )
 from strategies import (
     mixed_binary_systems,
@@ -93,17 +96,54 @@ def test_close_rejects_foreign_symbols(single_rule):
         close(system, {Symbol("zz", Sort.STANDARD)})
 
 
-@pytest.mark.parametrize("evaluate", [step, close, close_naive, closed_form_ternary, closed_form_binary])
-def test_a_bare_name_in_the_input_is_a_language_mismatch(evaluate):
+# Entry points outside `closure` that take symbols, called like `close`:
+# the first member is the symbol argument.
+def _tabulate(system, members):
+    return tabulate(system, [*members, *system.symbols])
+
+
+def _weight_ternary(system, members):
+    return weight_ternary(system, members[0], system.language.resolve("b1"))
+
+
+def _weight_binary(system, members):
+    return weight_binary(system, members[0])
+
+
+_EVALUATORS = [
+    step,
+    close,
+    close_naive,
+    closed_form_ternary,
+    closed_form_binary,
+    pytest.param(_tabulate, id="tabulate"),
+    pytest.param(_weight_ternary, id="weight_ternary"),
+    pytest.param(_weight_binary, id="weight_binary"),
+]
+
+
+def _system_for(evaluate):
     lang = make_language({"a1", "b1"}, {"l1"})
-    rules = [(("l1",), "b1")] if evaluate is closed_form_binary else [(("a1", "l1"), "b1")]
-    system = make_system(lang, rules)
+    binary = evaluate in (closed_form_binary, _weight_binary)
+    return make_system(lang, [(("l1",), "b1")] if binary else [(("a1", "l1"), "b1")])
+
+
+@pytest.mark.parametrize("evaluate", _EVALUATORS)
+def test_a_bare_name_in_the_input_is_a_language_mismatch(evaluate):
+    system = _system_for(evaluate)
     with pytest.raises(LanguageMismatch, match=r"^member 'a1' is not a Symbol$"):
-        evaluate(system, {"a1", lang.resolve("l1")})
+        evaluate(system, ["a1", system.language.resolve("l1")])
+
+
+@pytest.mark.parametrize("evaluate", _EVALUATORS)
+def test_an_unhashable_member_is_a_language_mismatch(evaluate):
+    system = _system_for(evaluate)
+    with pytest.raises(LanguageMismatch, match=r"is not a Symbol"):
+        evaluate(system, [["a1"], system.language.resolve("l1")])
 
 
 def test_foreign_symbol_report_ignores_input_order():
-    # two strays share a name and a hash; the report names the first by
+    # two strays share a name; the report names the first by
     # (name, sort), whatever order the input lists them in
     system = chain_system([Symbol(f"s{i}", Sort.STANDARD) for i in range(3)])
     z_std, z_non = Symbol("z", Sort.STANDARD), Symbol("z", Sort.NONSTANDARD)

@@ -1,6 +1,14 @@
 """Construction and validation of languages, rules, systems, and the shape
 recognizers."""
 
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +16,7 @@ from conseq import (
     BadIdentifier,
     EmptyStandardPart,
     EmptySystem,
+    FrozenSymbol,
     InvalidValue,
     Language,
     LogicSystem,
@@ -21,7 +30,9 @@ from conseq import (
     is_mixed_ternary,
     make_language,
     make_system,
+    parse_system,
 )
+from conseq import model
 from strategies import mixed_binary_systems, mixed_ternary_systems, named_systems, systems, unscannable
 
 
@@ -75,10 +86,121 @@ def test_symbol_hash_keeps_sorts_apart_and_matches_equal_symbols():
     table = {std: "standard", non: "nonstandard"}
     assert len(table) == 2
     twin = Symbol("x", Sort.STANDARD)
-    assert twin is not std and hash(twin) == hash(std)
+    assert twin is std and hash(twin) == hash(std)
     assert twin in {std} and non not in {std}
     assert table[twin] == "standard"
-    assert table[Symbol("x", Sort.NONSTANDARD)] == "nonstandard"
+    assert table[Symbol("x", Sort.NONSTANDARD)] is table[non] == "nonstandard"
+
+
+def test_symbol_hash_and_equality_are_objects_own_c_slots():
+    # interned symbols are equal exactly when identical, so no Python-level
+    # hash or comparison may come back onto the set and dict lookups
+    assert Symbol.__hash__ is object.__hash__
+    assert Symbol.__eq__ is object.__eq__
+    assert Symbol.__ne__ is object.__ne__
+    assert "__init__" not in vars(Symbol)
+    # the intern tables are keyed by sort, so Sort must not hash in Python either
+    assert Sort.__hash__ is object.__hash__
+
+
+def test_symbol_stays_immutable_and_keeps_its_repr():
+    s = Symbol("x", Sort.NONSTANDARD)
+    assert repr(s) == "Symbol(name='x', sort=Sort.NONSTANDARD)" and str(s) == "x"
+    for attempt in (lambda: setattr(s, "name", "y"), lambda: setattr(s, "extra", 1), lambda: delattr(s, "sort")):
+        with pytest.raises(FrozenInstanceError) as info:
+            attempt()
+        assert isinstance(info.value, FrozenSymbol)
+    assert (s.name, s.sort, s.is_standard) == ("x", Sort.NONSTANDARD, False)
+    match s:
+        case Symbol(name, Sort.NONSTANDARD):
+            assert name == "x"
+        case _:
+            raise AssertionError("positional match on (name, sort) failed")
+    assert Symbol(name="x", sort=Sort.NONSTANDARD) is s
+    with pytest.raises(BadIdentifier):
+        Symbol("x", "standard")
+
+
+def test_symbol_cache_hit_runs_no_validation(monkeypatch):
+    s = Symbol("x", Sort.STANDARD)
+
+    class Refusing:
+        def fullmatch(self, name):
+            raise AssertionError(f"{name!r} was validated again")
+
+    monkeypatch.setattr(model, "NAME_RE", Refusing())
+    assert Symbol("x", Sort.STANDARD) is s
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy]
+    + [pytest.param(lambda s, p=p: pickle.loads(pickle.dumps(s, p)), id=f"pickle{p}") for p in range(6)],
+)
+def test_copies_and_pickles_of_a_symbol_are_the_symbol(duplicate):
+    s = Symbol("x", Sort.NONSTANDARD)
+    assert duplicate(s) is s
+    assert duplicate([s, s])[1] is s
+
+
+def test_unreferenced_symbols_leave_the_intern_table():
+    ref = weakref.ref(Symbol("gone_after_collect", Sort.STANDARD))
+    gc.collect()
+    assert ref() is None and model._interned("gone_after_collect", Sort.STANDARD) is None
+    again = Symbol("gone_after_collect", Sort.STANDARD)
+    assert again.name == "gone_after_collect" and Symbol("gone_after_collect", Sort.STANDARD) is again
+    # dead entries are swept as the table grows, so it does not keep them
+    table = model._INTERNED[Sort.NONSTANDARD]
+    for i in range(5000):
+        Symbol(f"swept{i}", Sort.NONSTANDARD)
+    assert len(table) <= 2 * max(1024, sum(r() is not None for r in table.values()))
+    assert all(Symbol(f"swept{i}", Sort.NONSTANDARD).name == f"swept{i}" for i in range(5000))
+
+
+def test_threads_building_the_same_fresh_names_get_one_object_each():
+    names = [f"threaded{i}" for i in range(3000)]
+    assert all(model._interned(n, Sort.STANDARD) is None for n in names)
+    start = threading.Barrier(4)
+    built: list[list[Symbol]] = []
+
+    def build():
+        start.wait()
+        built.append([Symbol(n, Sort.STANDARD) for n in names])
+
+    workers = [threading.Thread(target=build) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the check-then-insert too
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and len(built) == 4
+    assert all(a is b for a, *others in zip(*built) for b in others)
+    assert [s.name for s in built[0]] == names
+
+
+def test_parses_of_one_document_share_their_symbols():
+    text = "standard: a1 b1\nnonstandard: l1\nrule: a1 l1 => b1\n"
+    first, second = parse_system(text), parse_system(text)
+    assert first.language.resolve("a1") is second.language.resolve("a1")
+    assert first.system.rules[0] is not second.system.rules[0]
+    assert first.system.rules[0].premises[1] is second.language.resolve("l1")
+
+
+def test_resolve_refuses_a_name_interned_outside_the_language():
+    lang = make_language({"a1"}, {"l1"})
+    other = make_language({"b1", "l1x"}, {"a2"})
+    # interned, but of the other sort or in another language only
+    alive = [other.resolve("b1"), Symbol("a1", Sort.NONSTANDARD), Symbol("l1", Sort.STANDARD)]
+    for name in ("b1", "a2", "never_interned", 7, ["a1"]):
+        with pytest.raises(UnknownSymbol):
+            lang.resolve(name)
+    assert lang.resolve("a1").sort is Sort.STANDARD and lang.resolve("l1").sort is Sort.NONSTANDARD
+    assert lang.resolve("a1") in lang and ["a1"] not in lang and "a1" not in lang
+    assert not any(s in lang for s in alive)
 
 
 def test_make_system_single_ternary_rule():
