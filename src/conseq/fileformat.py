@@ -17,6 +17,14 @@ column; arbitrary bytes never crash the parser, they produce a ParseError
 line in file order and `LogicSystem` collapses the duplicates, recording
 which line each kept rule came from (`SystemDocument.rule_lines`).
 
+Parsing goes straight to the compiled form.  A rule line that one regex
+(`RULE_LINE`) matches whole gives its names without the general path's
+checks; every other line takes that path, which alone raises errors, so a
+line's outcome is the same either way.  Rule names become integer ids
+(the declared names, interned in bulk and numbered by name), and
+`LogicSystem` compiles those keys and builds a `Rule` only per distinct
+rule.  The garbage collector is paused meanwhile; see `parse_system`.
+
 Canonical rendering emits one declaration line per sort with names sorted
 lexicographically (the nonstandard line is dropped when empty), then the
 rules in their canonical system order.  Parsing a rendered document yields
@@ -25,6 +33,7 @@ an equal (language, system) pair.
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -36,9 +45,18 @@ from .errors import (
     ParseError,
     UnknownSymbol,
 )
-from .model import NAME_RE, Language, LogicSystem, Rule, Sort, Symbol, symbol_key
+from .model import NAME_RE, Language, LogicSystem, Sort, Symbol, symbol_key
+from .model import _NONSTANDARD, _STANDARD, _first_bad_name, _intern_all
 
 TOKEN_RE = re.compile(r"\S+")
+# A whole rule line whose names are separated by spaces and tabs only, with
+# an optional CR line end.  Group 1 split on blanks gives the premise names
+# and group 2 the conclusion, the same names the general path's `str.split`
+# gives.  Any other line, valid or not, takes the general path, which alone
+# raises errors.
+RULE_LINE = re.compile(
+    rf"rule:[ \t]*({NAME_RE.pattern}(?:[ \t]+{NAME_RE.pattern})*)[ \t]+=>[ \t]+({NAME_RE.pattern})[ \t]*\r?"
+)
 KEYWORDS = ("standard", "nonstandard", "rule")
 
 
@@ -84,13 +102,6 @@ def _end(line: str) -> int:
     return len(line.rstrip("\r")) + 1
 
 
-def _first_bad_name(names: list[str]) -> int | None:
-    """Index of the first of `names` that is not an identifier, or None."""
-    if not names or NAME_RE.fullmatch("".join(names)):
-        return None
-    return next(j for j, name in enumerate(names) if not NAME_RE.fullmatch(name))
-
-
 def _bad_name(name: str, lineno: int, col: int) -> ParseError:
     return ParseError(f"bad name {name!r}", line=lineno, col=col, expected="identifier ([A-Za-z0-9_]+)")
 
@@ -121,30 +132,54 @@ def _not_a_directive(line: str, lineno: int) -> None:
 def parse_system(text: str | bytes, source_name: str = "<string>") -> SystemDocument:
     """Parse .lgs text (or raw bytes) into a validated document.
 
-    The first pass splits each directive's payload with `str.split` and
-    checks all of its names with one regex match; the second resolves each
-    rule name through the declaration table.  The rules go to `LogicSystem`
-    in file order, and the input index it records for each rule it keeps
-    gives that rule's line.  Columns are worked out only for an error.
+    The first pass reads each line.  A rule line that `RULE_LINE` matches
+    whole (names separated by spaces and tabs only) gives its names from the
+    match; any other line splits its directive's payload with `str.split`
+    and checks all of its names with one regex match.  Then the declared
+    names are interned in bulk and numbered by name, each rule becomes a key
+    of those ids, and `LogicSystem` compiles the keys directly: it builds a
+    `Rule` only for each distinct rule, keeps the first occurrence, and
+    records its input index, which gives that rule's line.  Columns are
+    worked out only for an error.
+
+    The cyclic garbage collector is paused for the parse and compile, which
+    allocate a few containers per rule and create no cycles.  It is
+    re-enabled afterwards, also when parsing raises, if it was on when this
+    parse started; a parse that starts with it off leaves it off.
     """
-    if isinstance(text, bytes):
-        text = _decode(text)
-    language, rules, linenos = _read(text)
-    system = LogicSystem(language, rules)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if isinstance(text, bytes):
+            text = _decode(text)
+        language, ids, keyed, linenos = _read(text)
+        system = LogicSystem._from_keys(language, ids, keyed)
+    finally:
+        if enabled:
+            gc.enable()
     return SystemDocument(source_name, language, system, tuple(map(linenos.__getitem__, system._sources)))
 
 
-def _read(text: str) -> tuple[Language, list[Rule], list[int]]:
-    """The language, the rules in file order and the line of each rule.
+def _read(text: str) -> tuple[Language, dict[Symbol, int], dict[tuple[int, ...], int], list[int]]:
+    """The language, the id of each of its symbols (numbered by name, in id
+    order), each distinct rule's key over those ids mapped to its first
+    input index, and the line of each rule in file order.
 
-    A function of its own so that the lines, tokens and declaration tables
-    are freed before `LogicSystem` compiles the rules, which is the peak of
-    a parse's memory."""
-    lines = text.split("\n")
-    declared: dict[str, tuple[Sort, int]] = {}  # name -> (sort, first line)
-    rule_names: list[tuple[int, list[str]]] = []  # (line, premise names + conclusion)
+    A function of its own so that the tokens and declaration tables are
+    freed before `LogicSystem` compiles the keys; the lines are freed once
+    they are read, before the rules are keyed."""
+    declared: dict[Sort, dict[str, int]] = {_STANDARD: {}, _NONSTANDARD: {}}  # name -> first line
+    rule_names: list[list[str]] = []  # premise names + conclusion, per rule in file order
+    linenos: list[int] = []
+    whole_rule = RULE_LINE.fullmatch
 
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # the lines are freed after the loop
+        if m := whole_rule(raw):
+            names = m[1].split()
+            names.append(m[2])
+            rule_names.append(names)
+            linenos.append(lineno)
+            continue
         head, colon, payload = raw.partition(":")
         keyword = head.lstrip().rstrip(" \t")
         if not colon or keyword not in KEYWORDS:
@@ -154,17 +189,18 @@ def _read(text: str) -> tuple[Language, list[Rule], list[int]]:
         tokens = payload.split()
 
         if keyword != "rule":
-            sort = Sort.STANDARD if keyword == "standard" else Sort.NONSTANDARD
-            if sort is Sort.STANDARD and not tokens:
+            sort = _STANDARD if keyword == "standard" else _NONSTANDARD
+            if sort is _STANDARD and not tokens:
                 raise ParseError("empty standard declaration", line=lineno, col=_end(raw),
                                  expected="at least one symbol name")
             bad = _first_bad_name(tokens)
+            mine, other = declared[sort], declared[_NONSTANDARD if sort is _STANDARD else _STANDARD]
             for name in tokens[:bad]:
-                prior = declared.setdefault(name, (sort, lineno))
-                if prior[0] is not sort:
+                if name in other:
                     raise NameCollision(
-                        f"name {name!r} is declared in both sorts (first at line {prior[1]})",
+                        f"name {name!r} is declared in both sorts (first at line {other[name]})",
                         line=lineno, col=_columns(raw, start)[tokens.index(name)])
+                mine.setdefault(name, lineno)
             if bad is not None:
                 raise _bad_name(tokens[bad], lineno, _columns(raw, start)[bad])
             continue
@@ -188,27 +224,35 @@ def _read(text: str) -> tuple[Language, list[Rule], list[int]]:
         bad = _first_bad_name(tokens)
         if bad is not None:
             raise _bad_name(tokens[bad], lineno, _rule_columns(raw)[bad])
-        rule_names.append((lineno, tokens))
+        rule_names.append(tokens)
+        linenos.append(lineno)
 
-    # resolve rule names against the gathered declarations, in file order
-    symbol_of = {name: Symbol(name, sort) for name, (sort, _) in declared.items()}
-    rules: list[Rule] = []
-    for lineno, names in rule_names:
+    # intern the declared names, number them by name, and key each rule by
+    # those ids, in file order; interning in id order lays the symbols out in
+    # memory in that order, which keeps a long closure's symbols together
+    std, non = (sorted(declared[sort]) for sort in (_STANDARD, _NONSTANDARD))
+    std_symbols, non_symbols = _intern_all(std, _STANDARD), _intern_all(non, _NONSTANDARD)
+    symbol_of = dict(zip(std, std_symbols))
+    symbol_of.update(zip(non, non_symbols))
+    order = sorted(symbol_of)
+    id_of = dict(zip(order, range(len(order))))
+    to_id = id_of.__getitem__
+    keyed: dict[tuple[int, ...], int] = {}
+    for i, names in enumerate(rule_names):
         try:
-            *premises, conclusion = map(symbol_of.__getitem__, names)
+            keyed.setdefault((len(names) - 1, *map(to_id, names)), i)
         except KeyError as e:
-            col = _rule_columns(lines[lineno - 1])[names.index(e.args[0])]
+            lineno = linenos[i]
+            col = _rule_columns(text.split("\n")[lineno - 1])[names.index(e.args[0])]
             raise UnknownSymbol(f"unknown symbol {e.args[0]!r}", line=lineno, col=col) from None
-        rules.append(Rule(tuple(premises), conclusion))
 
-    std = frozenset(s for s in symbol_of.values() if s.sort is Sort.STANDARD)
     if not std:
         # a document-level condition; anchored at the start for uniformity
         raise EmptyStandardPart("document declares no standard symbols", line=1, col=1)
-    language = Language(std, frozenset(symbol_of.values()) - std)
-    if not rules:
+    language = Language(frozenset(std_symbols), frozenset(non_symbols))
+    if not keyed:
         raise EmptySystem("document contains no rules", line=1, col=1)
-    return language, rules, [lineno for lineno, _ in rule_names]
+    return language, dict(zip(map(symbol_of.__getitem__, order), id_of.values())), keyed, linenos
 
 
 def render_system(doc: "SystemDocument | LogicSystem") -> str:
@@ -235,7 +279,7 @@ def render_set(members: Iterable[Symbol]) -> str:
     get a '*' prefix on output only."""
     ordered = sorted(members, key=symbol_key)
     return ",".join(
-        s.name if s.sort is Sort.STANDARD else f"*{s.name}" for s in ordered
+        s.name if s.sort is _STANDARD else f"*{s.name}" for s in ordered
     )
 
 

@@ -17,7 +17,8 @@ its table entry.  `Symbol` is not a dataclass: `dataclasses.fields` and
 
 Everything here is immutable after construction and safe to share between
 threads.  Building a `LogicSystem` compiles it once to integer symbol and
-rule ids, in time linear in the rules plus one sort; see its docstring.
+rule ids, in time linear in the rules plus one sort; one `_compile` serves
+both the public constructor and the parser, see its docstring.
 
 The two shapes whose closure is a single rule pass, mixed ternary
 (standard nonstandard => standard) and mixed binary (nonstandard =>
@@ -32,11 +33,11 @@ import re
 import threading
 import weakref
 from array import array
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from operator import attrgetter, sub
+from itertools import accumulate, compress, repeat
+from operator import attrgetter, floordiv, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -71,7 +72,7 @@ class Sort(enum.Enum):
 
 # The intern tables: for each sort, name -> weak reference to the one live
 # Symbol of that (name, sort).  A reference carries no callback, so a freed
-# symbol leaves a dead entry; `_intern` sweeps those out whenever a table
+# symbol leaves a dead entry; `_intern_all` sweeps those out whenever a table
 # has doubled since its last sweep, which keeps the sweeps amortised O(1).
 _INTERNED: dict[Sort, dict[str, weakref.ref]] = {sort: {} for sort in Sort}
 # `Sort.STANDARD` is a descriptor call on Python 3.11 (about 0.2 us); the
@@ -88,6 +89,18 @@ def _interned(name: str, sort: Sort) -> Symbol | None:
     except (KeyError, TypeError):  # not a sort, or an unhashable name
         return None
     return ref and ref()
+
+
+def _first_bad_name(names: list) -> int | None:
+    """Index of the first of `names` that is not an identifier string, or
+    None.  One regex match over the joined names decides the common case;
+    only a failure walks the names to find the bad one."""
+    try:
+        if NAME_RE.fullmatch("".join(names)) and all(names):
+            return None
+    except TypeError:  # a name that is not a str
+        pass
+    return next((j for j, name in enumerate(names) if not isinstance(name, str) or not NAME_RE.fullmatch(name)), None)
 
 
 class Symbol:
@@ -109,7 +122,7 @@ class Symbol:
 
     def __new__(cls, name: str, sort: Sort) -> Symbol:
         # a hit returns the interned object and runs no validation again
-        return _interned(name, sort) or _intern(cls, name, sort)
+        return _interned(name, sort) or _intern_checked([name], sort)[0]
 
     def __reduce__(self):
         return Symbol, (self.name, self.sort)
@@ -125,34 +138,50 @@ class Symbol:
 
     @property
     def is_standard(self) -> bool:
-        return self.sort is Sort.STANDARD
+        return self.sort is _STANDARD
 
     def __str__(self) -> str:
         return self.name
 
 
-def _intern(cls: type[Symbol], name: str, sort: Sort) -> Symbol:
-    """Validate (name, sort) and return its symbol, creating it if no live
-    one exists.  The lock makes the check and the insert one step, so two
-    threads never create two objects for one pair."""
-    if not isinstance(name, str) or not NAME_RE.fullmatch(name):
-        raise BadIdentifier(f"symbol name {name!r} does not match [A-Za-z0-9_]+")
+def _intern_checked(names: list, sort: Sort) -> list[Symbol]:
+    """Validate `names` and `sort`, then intern the names in bulk; a bad
+    name raises BadIdentifier naming the first one."""
+    if (bad := _first_bad_name(names)) is not None:
+        raise BadIdentifier(f"symbol name {names[bad]!r} does not match [A-Za-z0-9_]+")
     if not isinstance(sort, Sort):
-        raise BadIdentifier(f"bad sort for symbol {name!r}: {sort!r}")
+        raise BadIdentifier(f"bad sort for symbol {names[0]!r}: {sort!r}")
+    return _intern_all(names, sort)
+
+
+# A symbol's two slots, set directly: the class's own __setattr__ refuses
+_SET_NAME, _SET_SORT = Symbol.name.__set__, Symbol.sort.__set__
+
+
+def _intern_all(names: Iterable[str], sort: Sort) -> list[Symbol]:
+    """The symbols of `names`, in order, creating each that has no live one.
+
+    The names must already be identifiers and `sort` a `Sort`.  One lock
+    makes every check and insert one step, so two threads never create two
+    objects for one pair, and one sweep check after the inserts keeps the
+    table from holding dead entries."""
     table = _INTERNED[sort]
+    get, new, ref = table.get, object.__new__, weakref.ref
+    symbols = []
     with _INTERN_LOCK:
-        ref = table.get(name)
-        symbol = ref and ref()
-        if symbol is None:
-            symbol = object.__new__(cls)
-            object.__setattr__(symbol, "name", name)
-            object.__setattr__(symbol, "sort", sort)
-            if len(table) >= _SWEEP_AT[sort]:
-                for dead in [k for k, r in table.items() if r() is None]:
-                    del table[dead]
-                _SWEEP_AT[sort] = max(1024, 2 * len(table))
-            table[name] = weakref.ref(symbol)
-    return symbol
+        for name in names:
+            symbol = (r := get(name)) and r()
+            if symbol is None:
+                symbol = new(Symbol)
+                _SET_NAME(symbol, name)
+                _SET_SORT(symbol, sort)
+                table[name] = ref(symbol)
+            symbols.append(symbol)
+        if len(table) >= _SWEEP_AT[sort]:
+            for dead in [k for k, r in table.items() if r() is None]:
+                del table[dead]
+            _SWEEP_AT[sort] = max(1024, 2 * len(table))
+    return symbols
 
 
 def _require_symbols(members: Iterable[object]) -> None:
@@ -164,7 +193,7 @@ def _require_symbols(members: Iterable[object]) -> None:
 
 def symbol_key(s: Symbol) -> tuple[str, str]:
     """Deterministic ordering key; name first, sort as tie-break."""
-    return (s.name, s.sort.value)
+    return (s.name, s.sort._value_)  # `.value` is a Python property
 
 
 @dataclass(frozen=True)
@@ -247,6 +276,18 @@ class Rule:
         return f"{' '.join(p.name for p in self.premises)} => {self.conclusion.name}"
 
 
+# A rule's two slots, set directly: for rules built from compiled keys,
+# whose premises are already a nonempty tuple of symbols
+_SET_PREMISES, _SET_CONCLUSION = Rule.premises.__set__, Rule.conclusion.__set__
+
+
+def _trusted_rule(premises: tuple[Symbol, ...], conclusion: Symbol) -> Rule:
+    rule = object.__new__(Rule)
+    _SET_PREMISES(rule, premises)
+    _SET_CONCLUSION(rule, conclusion)
+    return rule
+
+
 @dataclass(frozen=True)
 class LogicSystem:
     """A nonempty set of rules over one language.
@@ -274,6 +315,12 @@ class LogicSystem:
     the arities.  `close`, `symbols`, `conclusions` and a passing shape
     check read only these.  `premise_index` is a view of them built on
     first use, `first_premise_index` one built on the first one-pass query.
+
+    One `_compile` builds all of this from the keys, and it has two front
+    ends.  `LogicSystem(language, rules)` keys the caller's `Rule` objects
+    and keeps them.  The parser (`fileformat.parse_system`) numbers the
+    names it read and hands the keys to `_from_keys`, which builds a `Rule`
+    only for each kept key, so a parse makes no `Rule` per input line.
     """
 
     language: Language
@@ -291,25 +338,51 @@ class LogicSystem:
                 stray = e.args[0].name
                 raise UnknownSymbol(f"rule ({rule}) uses symbol {stray!r} not in the language") from None
             keyed.setdefault(key, i)
+        self._compile(symbols, ids, keyed, rules)
+
+    @classmethod
+    def _from_keys(cls, language: Language, ids: dict[Symbol, int],
+                   keyed: dict[tuple[int, ...], int]) -> LogicSystem:
+        """The system whose rules are `keyed`: each rule's key over `ids`
+        (the language's symbols numbered by name, in id order), mapped to
+        the input index of its first occurrence.  The keys are trusted:
+        every id is in range and every premise count at least 1.  Only the
+        kept rules become `Rule` objects."""
+        system = object.__new__(cls)
+        object.__setattr__(system, "language", language)
+        system._compile(tuple(ids), ids, keyed, None)
+        return system
+
+    def _compile(self, symbols: tuple[Symbol, ...], ids: dict[Symbol, int],
+                 keyed: dict[tuple[int, ...], int], rules: tuple[Rule, ...] | None) -> None:
+        """Compile the keys; take each kept rule from `rules` by its input
+        index, or build it from its key when `rules` is None."""
         if not keyed:
             raise EmptySystem("a logic system needs at least one rule")
         keys = sorted(keyed)
-        distinct = [k[1:-1] if k[0] == 1 else set(k[1:-1]) for k in keys]
         m = len(keys)
-        # premise occurrence (p, rule i) as p * m + i: sorts by premise, then rule
-        codes = sorted(p * m + i for i, ps in enumerate(distinct) for p in ps)
         put = object.__setattr__
         put(self, "_sources", array("q", map(keyed.__getitem__, keys)))  # no int object per rule
-        put(self, "rules", tuple(map(rules.__getitem__, self._sources)))
-        put(self, "_symbols", symbols)
-        put(self, "_ids", ids)
-        put(self, "_of_sort", {sort: bytes(s.sort is sort for s in symbols) for sort in Sort})
-        put(self, "_offsets", tuple(bisect_left(codes, s * m) for s in range(len(symbols) + 1)))
+        distinct = [k[1:-1] if k[0] == 1 else set(k[1:-1]) for k in keys]
+        # premise occurrence (p, rule i) as p * m + i: sorts by premise, then rule
+        codes = sorted(p * m + i for i, ps in enumerate(distinct) for p in ps)
+        per_premise = Counter(map(floordiv, codes, repeat(m)))  # occurrences per premise id
+        put(self, "_offsets", tuple(accumulate(map(per_premise.get, range(len(symbols)), repeat(0)), initial=0)))
         put(self, "_premise_rules", tuple(c % m for c in codes))
         put(self, "premise_counts", tuple(map(len, distinct)))
+        del distinct, codes, per_premise  # freed before any rule is built
         put(self, "_firsts", tuple(k[1] for k in keys))
         put(self, "_conclusions", tuple(k[-1] for k in keys))
         put(self, "_arities", frozenset(k[0] + 1 for k in keys))
+        put(self, "_symbols", symbols)
+        put(self, "_ids", ids)
+        put(self, "_of_sort", {sort: bytes(s.sort is sort for s in symbols) for sort in Sort})
+        if rules is None:
+            at = symbols.__getitem__
+            rules = tuple(_trusted_rule(tuple(map(at, k[1:-1])), at(k[-1])) for k in keys)
+        else:
+            rules = tuple(map(rules.__getitem__, self._sources))
+        put(self, "rules", rules)
 
     @cached_property
     def symbols(self) -> frozenset[Symbol]:
@@ -362,10 +435,13 @@ class LogicSystem:
 def make_language(
     standard_names: Iterable[str], nonstandard_names: Iterable[str]
 ) -> Language:
-    """Build a language from two name sets; all invariants are validated."""
-    std = frozenset(Symbol(n, Sort.STANDARD) for n in standard_names)
-    non = frozenset(Symbol(n, Sort.NONSTANDARD) for n in nonstandard_names)
-    return Language(std, non)
+    """Build a language from two name sets; all invariants are validated.
+
+    Each part's names are checked with one regex match over them all and
+    interned under one lock; a bad name raises BadIdentifier, naming the
+    first one in iteration order."""
+    std = frozenset(_intern_checked(list(standard_names), _STANDARD))
+    return Language(std, frozenset(_intern_checked(list(nonstandard_names), _NONSTANDARD)))
 
 
 def make_system(

@@ -4,7 +4,11 @@ Every parse failure must carry a 1-based line and column, and arbitrary
 bytes must never raise anything outside the package's error hierarchy.
 """
 
+import gc
 import random
+import re
+import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -15,6 +19,7 @@ from conseq import (
     ConseqError,
     EmptyStandardPart,
     EmptySystem,
+    LogicSystem,
     NameCollision,
     ParseError,
     Rule,
@@ -29,6 +34,7 @@ from conseq import (
     make_language,
     make_system,
 )
+from conseq import fileformat, model
 from strategies import named_systems, system_inputs, systems
 
 BASIC = "standard: a1 b1\nnonstandard: l1\nrule: a1 l1 => b1\n"
@@ -81,6 +87,193 @@ def test_parse_hashes_no_rule(monkeypatch):
     doc = parse_system(BASIC + "rule: a1 => b1\nrule: a1 l1 => b1\n")
     assert [str(r) for r in doc.system.rules] == ["a1 => b1", "a1 l1 => b1"]
     assert doc.rule_lines == (4, 3)
+
+
+def test_parse_builds_no_rule_through_its_constructor(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Rule() was called")
+
+    monkeypatch.setattr(Rule, "__init__", refuse)
+    doc = parse_system(BASIC + "rule: a1 => b1\nrule: b1 l1 => a1\n")
+    assert [str(r) for r in doc.system.rules] == ["a1 => b1", "a1 l1 => b1", "b1 l1 => a1"]
+    assert all(type(r) is Rule and r.premises and r.premise_set for r in doc.system.rules)
+
+
+def test_parse_builds_one_rule_per_distinct_rule(monkeypatch):
+    built, trusted_rule = [], model._trusted_rule
+
+    def counting(premises, conclusion):
+        built.append(trusted_rule(premises, conclusion))
+        return built[-1]
+
+    monkeypatch.setattr(model, "_trusted_rule", counting)
+    rules = ["rule: a1 l1 => b1", "rule: a1 => b1", "rule: l1 b1 a1 => a1"]
+    doc = parse_system("standard: a1 b1\nnonstandard: l1\n" + "\n".join(rules * 5))
+    assert len(doc.system) == 3 and list(doc.system.rules) == built
+    assert doc.rule_lines == (4, 3, 5)
+
+
+@given(st.one_of(systems(), named_systems()), st.randoms(use_true_random=False))
+def test_parsed_system_compiles_as_the_public_constructor_does(system, rng):
+    # one compile, two front ends: keys from the parser's ids, or from Rules
+    lines = render_system(system).splitlines()
+    rendered_rules = [line for line in lines if line.startswith("rule:")]
+    assert all(map(fileformat.RULE_LINE.fullmatch, rendered_rules))
+    lines += rng.choices(rendered_rules, k=len(system))
+    rng.shuffle(lines)
+    doc = parse_system("\n".join(lines))
+    by_line = {f"rule: {r}": r for r in system.rules}
+    built = LogicSystem(system.language, [by_line[line] for line in lines if line in by_line])
+    for field in ("rules", "_sources", "_symbols", "_ids", "_of_sort", "_offsets", "_premise_rules",
+                  "premise_counts", "_firsts", "_conclusions", "_arities"):
+        assert getattr(doc.system, field) == getattr(built, field), field
+
+
+def outcome(text):
+    """What parsing `text` gives: the document's observable parts, or the
+    error's class, location and message."""
+    try:
+        doc = parse_system(text)
+    except ConseqError as e:
+        return type(e), e.line, e.col, e.message, getattr(e, "expected", None)
+    return render_system(doc), doc.rule_lines, [str(r) for r in doc.system.rules], doc.language
+
+
+NEVER = re.compile(r"(?!)")
+SPLICES = ["", " ", "\t", "  ", "\x0b", "\xa0", "\u2028", "\x85", "\r", "=>", ":", "-", "a", " rule:"]
+
+
+@st.composite
+def rule_lines(draw):
+    """A well-formed rule line with separators a fast line allows, then up to
+    two splices of whitespace `str.split` also accepts, stray '=>', colons,
+    and characters that empty, join or break names."""
+    name = st.sampled_from(["a1", "b1", "l1", "a1", "b1", "l1", "zz"])
+    words = [*draw(st.lists(name, min_size=1, max_size=3)), "=>", draw(name)]
+    seps = draw(st.lists(st.sampled_from([" ", " ", "\t", "  ", " \t", ""]), min_size=len(words), max_size=len(words)))
+    head = draw(st.sampled_from(["rule:", "rule:", "rule:", " rule:", "rule :", "rule\t:"]))
+    line = head + "".join(map(str.__add__, seps, words))
+    line += draw(st.sampled_from(["", "", "\r", " ", "\t\r", "\r\r"]))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from(SPLICES)) + line[at + draw(st.integers(0, 2)) :]
+    return line
+
+
+@given(st.lists(rule_lines(), min_size=1, max_size=6), st.booleans())
+def test_fast_rule_lines_parse_as_the_general_path_does(lines, declared):
+    header = "standard: a1 b1\nnonstandard: l1\n" if declared else ""
+    text = header + "\n".join(lines)
+    fast = outcome(text)
+    with mock.patch.object(fileformat, "RULE_LINE", NEVER):
+        assert outcome(text) == fast
+
+
+@pytest.mark.parametrize(
+    "line,fast",
+    [
+        ("rule: a1 l1 => b1", True),
+        ("rule:\ta1\t l1 =>\tb1 \r", True),
+        ("rule:a1 => b1", True),
+        ("rule: a1=>b1", False),
+        (" rule: a1 => b1", False),
+        ("rule : a1 => b1", False),
+        ("rule: a1\x0bl1 => b1", False),
+        ("rule: a1 => b1\xa0", False),
+        ("rule: a1 => b1\r\r", False),
+    ],
+)
+def test_which_rule_lines_take_the_fast_path(line, fast):
+    assert bool(fileformat.RULE_LINE.fullmatch(line)) is fast
+    text = "standard: a1 b1\nnonstandard: l1\n" + line
+    with mock.patch.object(fileformat, "RULE_LINE", NEVER):
+        slow = outcome(text)
+    assert outcome(text) == slow
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        (BASIC, None),
+        ("standard: a1\nrule: a1 b1\n", ParseError),
+        ("standard: a1\nrule: a1 => zz\n", UnknownSymbol),
+        ("standard: a1\nnonstandard: a1\n", NameCollision),
+        ("standard: a1\n", EmptySystem),
+        ("nonstandard: l1\nrule: l1 => l1\n", EmptyStandardPart),
+        (b"standard: a1\nrule\xff", ParseError),
+    ],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_parse_restores_the_collector(text, error, enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            parse_system(text)
+        else:
+            with pytest.raises(error):
+                parse_system(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class Injected(BaseException):
+    pass
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_parse_restores_the_collector_after_a_base_exception(monkeypatch, enabled):
+    seen = []
+
+    def interrupt(names, sort):
+        seen.append(gc.isenabled())
+        raise Injected
+
+    monkeypatch.setattr(fileformat, "_intern_all", interrupt)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(Injected):
+            parse_system(BASIC)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]  # paused while parsing
+
+
+def test_nested_and_concurrent_parses_leave_the_collector_on(monkeypatch):
+    intern_all = fileformat._intern_all
+    inner = []
+
+    def nested(names, sort):
+        if not inner:
+            inner.append(None)
+            inner.append(parse_system(BASIC))
+            assert not gc.isenabled()  # the inner parse leaves the outer's pause on
+        return intern_all(names, sort)
+
+    assert gc.isenabled()
+    monkeypatch.setattr(fileformat, "_intern_all", nested)
+    parse_system(BASIC)
+    assert len(inner) == 2 and gc.isenabled()
+    monkeypatch.undo()
+
+    text = "standard: " + " ".join(f"s{i}" for i in range(301)) + "\n"
+    text += "".join(f"rule: s{i} => s{i + 1}\n" for i in range(300))
+    start = threading.Barrier(4)
+    done = []
+
+    def work():
+        start.wait()
+        done.append([len(parse_system(text).system) for _ in range(20)])
+
+    workers = [threading.Thread(target=work) for _ in range(4)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+    assert len(done) == 4 and gc.isenabled()
 
 
 def location(err: ConseqError):

@@ -54,6 +54,33 @@ def test_make_language_requires_standard_part():
         make_language(set(), {"l1"})
 
 
+@pytest.mark.parametrize(
+    "std,non,bad",
+    [
+        (["a1", "b-c", "d e"], [], "b-c"),
+        (["a1", "b1"], ["l1", "", "m-"], ""),
+        (["a1", ""], [], ""),  # joined, the names still match
+        (["a1", 7, "x-"], [], 7),
+        (["a1", ["b1"]], [], ["b1"]),
+        (iter(["a1", "b1", "*c"]), [], "*c"),
+        (["a-1"], [None], "a-1"),  # the standard names come first
+    ],
+)
+def test_make_language_names_the_first_bad_name(std, non, bad):
+    with pytest.raises(BadIdentifier) as info:
+        make_language(std, non)
+    assert info.value.message == f"symbol name {bad!r} does not match [A-Za-z0-9_]+"
+
+
+def test_make_language_interns_what_symbol_interns():
+    held = Symbol("bulk_a", Sort.STANDARD)
+    lang = make_language(["bulk_a", "bulk_b", "bulk_b"], ["bulk_l"])
+    assert lang.resolve("bulk_a") is held
+    assert Symbol("bulk_b", Sort.STANDARD) is lang.resolve("bulk_b") and len(lang.standard_part) == 2
+    assert Symbol("bulk_l", Sort.NONSTANDARD) is lang.resolve("bulk_l")
+    assert model._interned("bulk_b", Sort.NONSTANDARD) is None
+
+
 def test_language_parts_must_match_sorts():
     std = Symbol("a1", Sort.STANDARD)
     non = Symbol("l1", Sort.NONSTANDARD)
