@@ -17,13 +17,11 @@ column; arbitrary bytes never crash the parser, they produce a ParseError
 line in file order and `LogicSystem` collapses the duplicates, recording
 which line each kept rule came from (`SystemDocument.rule_lines`).
 
-Parsing goes straight to the compiled form.  A rule line that one regex
-(`RULE_LINE`) matches whole gives its names without the general path's
-checks; every other line takes that path, which alone raises errors, so a
-line's outcome is the same either way.  Rule names become integer ids
-(the declared names, interned in bulk and numbered by name), and
-`LogicSystem` compiles those keys and builds a `Rule` only per distinct
-rule.  The garbage collector is paused meanwhile; see `parse_system`.
+Parsing goes straight to the compiled form.  The declared names are
+interned in bulk, `LogicSystem` turns each rule's names into a key of
+integer symbol ids and compiles the keys, and it builds a `Rule` only per
+distinct rule, none per input line.  The garbage collector is paused
+meanwhile; see `parse_system`.
 
 Canonical rendering emits one declaration line per sort with names sorted
 lexicographically (the nonstandard line is dropped when empty), then the
@@ -35,7 +33,9 @@ from __future__ import annotations
 
 import gc
 import re
+import threading
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 from .errors import (
@@ -49,14 +49,6 @@ from .model import NAME_RE, Language, LogicSystem, Sort, Symbol, symbol_key
 from .model import _NONSTANDARD, _STANDARD, _first_bad_name, _intern_all
 
 TOKEN_RE = re.compile(r"\S+")
-# A whole rule line whose names are separated by spaces and tabs only, with
-# an optional CR line end.  Group 1 split on blanks gives the premise names
-# and group 2 the conclusion, the same names the general path's `str.split`
-# gives.  Any other line, valid or not, takes the general path, which alone
-# raises errors.
-RULE_LINE = re.compile(
-    rf"rule:[ \t]*({NAME_RE.pattern}(?:[ \t]+{NAME_RE.pattern})*)[ \t]+=>[ \t]+({NAME_RE.pattern})[ \t]*\r?"
-)
 KEYWORDS = ("standard", "nonstandard", "rule")
 
 
@@ -132,38 +124,64 @@ def _not_a_directive(line: str, lineno: int) -> None:
 def parse_system(text: str | bytes, source_name: str = "<string>") -> SystemDocument:
     """Parse .lgs text (or raw bytes) into a validated document.
 
-    The first pass reads each line.  A rule line that `RULE_LINE` matches
-    whole (names separated by spaces and tabs only) gives its names from the
-    match; any other line splits its directive's payload with `str.split`
-    and checks all of its names with one regex match.  Then the declared
-    names are interned in bulk and numbered by name, each rule becomes a key
-    of those ids, and `LogicSystem` compiles the keys directly: it builds a
-    `Rule` only for each distinct rule, keeps the first occurrence, and
-    records its input index, which gives that rule's line.  Columns are
-    worked out only for an error.
+    The first pass splits each directive's payload with `str.split` and
+    checks all of its names with one regex match.  Then every rule name is
+    checked against the declarations, the declared names are interned in
+    bulk, and `LogicSystem._name_keys` turns each rule's names into a key of
+    symbol ids, which `LogicSystem._from_keys` compiles: it builds a `Rule`
+    only for each distinct rule, keeps the first occurrence, and records its
+    input index, which gives that rule's line.  Columns are worked out only
+    for an error.
 
     The cyclic garbage collector is paused for the parse and compile, which
-    allocate a few containers per rule and create no cycles.  It is
-    re-enabled afterwards, also when parsing raises, if it was on when this
-    parse started; a parse that starts with it off leaves it off.
+    allocate a few containers per rule and create no cycles; see
+    `_CollectorPause`.  It is re-enabled afterwards, also when parsing
+    raises, if it was on when the pause began: a parse that starts with it
+    off leaves it off, and parses that overlap, nested or on other threads,
+    re-enable it only when the last of them ends.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _COLLECTOR_PAUSE:
         if isinstance(text, bytes):
             text = _decode(text)
-        language, ids, keyed, linenos = _read(text)
-        system = LogicSystem._from_keys(language, ids, keyed)
-    finally:
-        if enabled:
-            gc.enable()
+        language, keyed, linenos = _read(text)
+        system = LogicSystem._from_keys(language, keyed)
     return SystemDocument(source_name, language, system, tuple(map(linenos.__getitem__, system._sources)))
 
 
-def _read(text: str) -> tuple[Language, dict[Symbol, int], dict[tuple[int, ...], int], list[int]]:
-    """The language, the id of each of its symbols (numbered by name, in id
-    order), each distinct rule's key over those ids mapped to its first
-    input index, and the line of each rule in file order.
+class _CollectorPause:
+    """A context in which the cyclic garbage collector is off.
+
+    Entries may nest and overlap across threads.  The first to enter
+    records whether the collector was on and switches it off; the last to
+    leave switches it back on only if it was.  One lock makes each entry
+    and each exit a single step, so no interleaving of threads can leave
+    the collector off."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._was_on = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._depth:
+                self._was_on = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if not self._depth and self._was_on:
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
+
+
+def _read(text: str) -> tuple[Language, dict[tuple[int, ...], int], list[int]]:
+    """The language, each distinct rule's key from `LogicSystem._name_keys`,
+    and the line of each rule in file order.
 
     A function of its own so that the tokens and declaration tables are
     freed before `LogicSystem` compiles the keys; the lines are freed once
@@ -171,15 +189,8 @@ def _read(text: str) -> tuple[Language, dict[Symbol, int], dict[tuple[int, ...],
     declared: dict[Sort, dict[str, int]] = {_STANDARD: {}, _NONSTANDARD: {}}  # name -> first line
     rule_names: list[list[str]] = []  # premise names + conclusion, per rule in file order
     linenos: list[int] = []
-    whole_rule = RULE_LINE.fullmatch
 
     for lineno, raw in enumerate(text.split("\n"), start=1):  # the lines are freed after the loop
-        if m := whole_rule(raw):
-            names = m[1].split()
-            names.append(m[2])
-            rule_names.append(names)
-            linenos.append(lineno)
-            continue
         head, colon, payload = raw.partition(":")
         keyword = head.lstrip().rstrip(" \t")
         if not colon or keyword not in KEYWORDS:
@@ -227,32 +238,20 @@ def _read(text: str) -> tuple[Language, dict[Symbol, int], dict[tuple[int, ...],
         rule_names.append(tokens)
         linenos.append(lineno)
 
-    # intern the declared names, number them by name, and key each rule by
-    # those ids, in file order; interning in id order lays the symbols out in
-    # memory in that order, which keeps a long closure's symbols together
-    std, non = (sorted(declared[sort]) for sort in (_STANDARD, _NONSTANDARD))
-    std_symbols, non_symbols = _intern_all(std, _STANDARD), _intern_all(non, _NONSTANDARD)
-    symbol_of = dict(zip(std, std_symbols))
-    symbol_of.update(zip(non, non_symbols))
-    order = sorted(symbol_of)
-    id_of = dict(zip(order, range(len(order))))
-    to_id = id_of.__getitem__
-    keyed: dict[tuple[int, ...], int] = {}
-    for i, names in enumerate(rule_names):
-        try:
-            keyed.setdefault((len(names) - 1, *map(to_id, names)), i)
-        except KeyError as e:
-            lineno = linenos[i]
-            col = _rule_columns(text.split("\n")[lineno - 1])[names.index(e.args[0])]
-            raise UnknownSymbol(f"unknown symbol {e.args[0]!r}", line=lineno, col=col) from None
-
-    if not std:
+    known = declared[_STANDARD].keys() | declared[_NONSTANDARD].keys()
+    if not known.issuperset(chain.from_iterable(rule_names)):
+        i, j = next((i, j) for i, names in enumerate(rule_names) for j, name in enumerate(names) if name not in known)
+        col = _rule_columns(text.split("\n")[linenos[i] - 1])[j]
+        raise UnknownSymbol(f"unknown symbol {rule_names[i][j]!r}", line=linenos[i], col=col)
+    if not declared[_STANDARD]:
         # a document-level condition; anchored at the start for uniformity
         raise EmptyStandardPart("document declares no standard symbols", line=1, col=1)
-    language = Language(frozenset(std_symbols), frozenset(non_symbols))
-    if not keyed:
+    if not rule_names:
         raise EmptySystem("document contains no rules", line=1, col=1)
-    return language, dict(zip(map(symbol_of.__getitem__, order), id_of.values())), keyed, linenos
+    # interned in name order, which is id order: a long closure's symbols
+    # then lie together in memory
+    language = Language(*(frozenset(_intern_all(sorted(declared[sort]), sort)) for sort in (_STANDARD, _NONSTANDARD)))
+    return language, LogicSystem._name_keys(language, rule_names), linenos
 
 
 def render_system(doc: "SystemDocument | LogicSystem") -> str:

@@ -224,6 +224,14 @@ class Language:
     def symbols(self) -> frozenset[Symbol]:
         return self.standard_part | self.nonstandard_part
 
+    @cached_property
+    def _numbering(self) -> tuple[tuple[Symbol, ...], dict[Symbol, int]]:
+        """The symbols numbered by name: in id order, and each one's id.
+        With these ids a rule's key (premise count, premise ids, conclusion
+        id) sorts rules in the canonical order; see `LogicSystem`."""
+        symbols = tuple(sorted((*self.standard_part, *self.nonstandard_part), key=attrgetter("name")))
+        return symbols, dict(zip(symbols, range(len(symbols))))
+
     def resolve(self, name: str) -> Symbol:
         """Look a name up in either part; raises UnknownSymbol.
 
@@ -318,17 +326,17 @@ class LogicSystem:
 
     One `_compile` builds all of this from the keys, and it has two front
     ends.  `LogicSystem(language, rules)` keys the caller's `Rule` objects
-    and keeps them.  The parser (`fileformat.parse_system`) numbers the
-    names it read and hands the keys to `_from_keys`, which builds a `Rule`
-    only for each kept key, so a parse makes no `Rule` per input line.
+    and keeps them.  The parser (`fileformat.parse_system`) keys the names
+    it read with `_name_keys` and compiles them with `_from_keys`, which
+    builds a `Rule` only for each kept key, so a parse makes no `Rule` per
+    input line.  Both number the symbols by `Language._numbering`.
     """
 
     language: Language
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        symbols = tuple(sorted(self.language.symbols, key=attrgetter("name")))
-        ids = {s: i for i, s in enumerate(symbols)}
+        ids = self.language._numbering[1]
         rules = tuple(self.rules)  # any iterable, read once
         keyed: dict[tuple[int, ...], int] = {}  # key -> input index of its first rule
         for i, rule in enumerate(rules):
@@ -338,25 +346,36 @@ class LogicSystem:
                 stray = e.args[0].name
                 raise UnknownSymbol(f"rule ({rule}) uses symbol {stray!r} not in the language") from None
             keyed.setdefault(key, i)
-        self._compile(symbols, ids, keyed, rules)
+        self._compile(keyed, rules)
+
+    @staticmethod
+    def _name_keys(language: Language, rule_names: Iterable[Sequence[str]]) -> dict[tuple[int, ...], int]:
+        """Each distinct rule's key, mapped to the input index of its first
+        occurrence, for `_from_keys`.  `rule_names` gives each rule's
+        premise names and then its conclusion name; the names are trusted:
+        each names a symbol of `language`, and each rule has a premise."""
+        symbols, ids = language._numbering
+        # the ids' own int objects, which the compiled arrays then share
+        id_of = dict(zip(map(attrgetter("name"), symbols), ids.values())).__getitem__
+        keyed: dict[tuple[int, ...], int] = {}
+        for i, names in enumerate(rule_names):
+            keyed.setdefault((len(names) - 1, *map(id_of, names)), i)
+        return keyed
 
     @classmethod
-    def _from_keys(cls, language: Language, ids: dict[Symbol, int],
-                   keyed: dict[tuple[int, ...], int]) -> LogicSystem:
-        """The system whose rules are `keyed`: each rule's key over `ids`
-        (the language's symbols numbered by name, in id order), mapped to
-        the input index of its first occurrence.  The keys are trusted:
-        every id is in range and every premise count at least 1.  Only the
-        kept rules become `Rule` objects."""
+    def _from_keys(cls, language: Language, keyed: dict[tuple[int, ...], int]) -> LogicSystem:
+        """The system of the keys from `_name_keys`; only the kept rules
+        become `Rule` objects."""
         system = object.__new__(cls)
         object.__setattr__(system, "language", language)
-        system._compile(tuple(ids), ids, keyed, None)
+        system._compile(keyed, None)
         return system
 
-    def _compile(self, symbols: tuple[Symbol, ...], ids: dict[Symbol, int],
-                 keyed: dict[tuple[int, ...], int], rules: tuple[Rule, ...] | None) -> None:
-        """Compile the keys; take each kept rule from `rules` by its input
-        index, or build it from its key when `rules` is None."""
+    def _compile(self, keyed: dict[tuple[int, ...], int], rules: tuple[Rule, ...] | None) -> None:
+        """Compile the keys, over `language._numbering`; take each kept rule
+        from `rules` by its input index, or build it from its key when
+        `rules` is None."""
+        symbols, ids = self.language._numbering
         if not keyed:
             raise EmptySystem("a logic system needs at least one rule")
         keys = sorted(keyed)

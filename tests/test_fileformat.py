@@ -6,9 +6,7 @@ bytes must never raise anything outside the package's error hierarchy.
 
 import gc
 import random
-import re
 import threading
-from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -115,10 +113,9 @@ def test_parse_builds_one_rule_per_distinct_rule(monkeypatch):
 
 @given(st.one_of(systems(), named_systems()), st.randoms(use_true_random=False))
 def test_parsed_system_compiles_as_the_public_constructor_does(system, rng):
-    # one compile, two front ends: keys from the parser's ids, or from Rules
+    # one compile, two front ends: keys from the parser's names, or from Rules
     lines = render_system(system).splitlines()
     rendered_rules = [line for line in lines if line.startswith("rule:")]
-    assert all(map(fileformat.RULE_LINE.fullmatch, rendered_rules))
     lines += rng.choices(rendered_rules, k=len(system))
     rng.shuffle(lines)
     doc = parse_system("\n".join(lines))
@@ -127,68 +124,6 @@ def test_parsed_system_compiles_as_the_public_constructor_does(system, rng):
     for field in ("rules", "_sources", "_symbols", "_ids", "_of_sort", "_offsets", "_premise_rules",
                   "premise_counts", "_firsts", "_conclusions", "_arities"):
         assert getattr(doc.system, field) == getattr(built, field), field
-
-
-def outcome(text):
-    """What parsing `text` gives: the document's observable parts, or the
-    error's class, location and message."""
-    try:
-        doc = parse_system(text)
-    except ConseqError as e:
-        return type(e), e.line, e.col, e.message, getattr(e, "expected", None)
-    return render_system(doc), doc.rule_lines, [str(r) for r in doc.system.rules], doc.language
-
-
-NEVER = re.compile(r"(?!)")
-SPLICES = ["", " ", "\t", "  ", "\x0b", "\xa0", "\u2028", "\x85", "\r", "=>", ":", "-", "a", " rule:"]
-
-
-@st.composite
-def rule_lines(draw):
-    """A well-formed rule line with separators a fast line allows, then up to
-    two splices of whitespace `str.split` also accepts, stray '=>', colons,
-    and characters that empty, join or break names."""
-    name = st.sampled_from(["a1", "b1", "l1", "a1", "b1", "l1", "zz"])
-    words = [*draw(st.lists(name, min_size=1, max_size=3)), "=>", draw(name)]
-    seps = draw(st.lists(st.sampled_from([" ", " ", "\t", "  ", " \t", ""]), min_size=len(words), max_size=len(words)))
-    head = draw(st.sampled_from(["rule:", "rule:", "rule:", " rule:", "rule :", "rule\t:"]))
-    line = head + "".join(map(str.__add__, seps, words))
-    line += draw(st.sampled_from(["", "", "\r", " ", "\t\r", "\r\r"]))
-    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
-        at = draw(st.integers(0, len(line)))
-        line = line[:at] + draw(st.sampled_from(SPLICES)) + line[at + draw(st.integers(0, 2)) :]
-    return line
-
-
-@given(st.lists(rule_lines(), min_size=1, max_size=6), st.booleans())
-def test_fast_rule_lines_parse_as_the_general_path_does(lines, declared):
-    header = "standard: a1 b1\nnonstandard: l1\n" if declared else ""
-    text = header + "\n".join(lines)
-    fast = outcome(text)
-    with mock.patch.object(fileformat, "RULE_LINE", NEVER):
-        assert outcome(text) == fast
-
-
-@pytest.mark.parametrize(
-    "line,fast",
-    [
-        ("rule: a1 l1 => b1", True),
-        ("rule:\ta1\t l1 =>\tb1 \r", True),
-        ("rule:a1 => b1", True),
-        ("rule: a1=>b1", False),
-        (" rule: a1 => b1", False),
-        ("rule : a1 => b1", False),
-        ("rule: a1\x0bl1 => b1", False),
-        ("rule: a1 => b1\xa0", False),
-        ("rule: a1 => b1\r\r", False),
-    ],
-)
-def test_which_rule_lines_take_the_fast_path(line, fast):
-    assert bool(fileformat.RULE_LINE.fullmatch(line)) is fast
-    text = "standard: a1 b1\nnonstandard: l1\n" + line
-    with mock.patch.object(fileformat, "RULE_LINE", NEVER):
-        slow = outcome(text)
-    assert outcome(text) == slow
 
 
 @pytest.mark.parametrize(
@@ -274,6 +209,54 @@ def test_nested_and_concurrent_parses_leave_the_collector_on(monkeypatch):
     for w in workers:
         w.join(timeout=60)
     assert len(done) == 4 and gc.isenabled()
+
+
+def test_a_parse_overlapping_another_leaves_the_collector_on(monkeypatch):
+    # Thread B starts parsing while the main thread's parse has the
+    # collector paused, and ends after it.  B is held between reading the
+    # collector's state and switching it off until the main parse has
+    # ended: a pause made of those two calls alone would read "off" there,
+    # switch the collector off after the main parse re-enabled it, and
+    # never switch it back on.
+    main_done, b_inside = threading.Event(), threading.Event()
+    isenabled, disable, intern_all = gc.isenabled, gc.disable, fileformat._intern_all
+    on_b = lambda: threading.current_thread().name == "B"
+    results = []
+
+    def reading():
+        state = isenabled()
+        if on_b():
+            b_inside.set()
+        return state
+
+    def disabling():
+        if on_b():
+            main_done.wait(10)
+        disable()
+
+    def interning(names, sort):
+        if on_b():
+            b_inside.set()
+            main_done.wait(10)
+        elif b.ident is None:  # the main parse starts B once
+            b.start()
+            assert b_inside.wait(10)
+        return intern_all(names, sort)
+
+    b = threading.Thread(target=lambda: results.append(parse_system(BASIC)), name="B")
+    monkeypatch.setattr(gc, "isenabled", reading)
+    monkeypatch.setattr(gc, "disable", disabling)
+    monkeypatch.setattr(fileformat, "_intern_all", interning)
+    assert isenabled()
+    try:
+        parse_system(BASIC)
+        assert not isenabled()  # B's pause goes on
+    finally:
+        main_done.set()
+        b.join(timeout=60)
+        on = isenabled()
+        gc.enable()
+    assert len(results) == 1 and on
 
 
 def location(err: ConseqError):
