@@ -120,24 +120,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_influence(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     conclusion = doc.language.resolve(args.conclusion)
+    fields, human = {"conclusion": conclusion.name}, f"conclusion {conclusion.name}"
     if args.premise is not None:
         premise = doc.language.resolve(args.premise)
         weight = weight_ternary(doc.system, premise, conclusion)
-        _emit(
-            args,
-            f"conclusion {conclusion.name} (premise {premise.name}): multiplicity {weight.multiplicity}",
-            conclusion=conclusion.name,
-            premise=premise.name,
-            multiplicity=weight.multiplicity,
-        )
+        fields["premise"] = premise.name
+        human += f" (premise {premise.name})"
     else:
         weight = weight_binary(doc.system, conclusion)
-        _emit(
-            args,
-            f"conclusion {conclusion.name}: multiplicity {weight.multiplicity}",
-            conclusion=conclusion.name,
-            multiplicity=weight.multiplicity,
-        )
+    _emit(args, f"{human}: multiplicity {weight.multiplicity}", **fields, multiplicity=weight.multiplicity)
     return 0
 
 

@@ -17,10 +17,10 @@ column; arbitrary bytes never crash the parser, they produce a ParseError
 line in file order and `LogicSystem` collapses the duplicates, recording
 which line each kept rule came from (`SystemDocument.rule_lines`).
 
-Parsing goes straight to the compiled form.  The declared names are
-interned in bulk, `LogicSystem` turns each rule's names into a key of
-integer symbol ids and compiles the keys, and it builds a `Rule` only per
-distinct rule, none per input line.  The garbage collector is paused
+Parsing goes straight to the compiled form.  The language is built by
+`make_language`, like any other, `LogicSystem` turns each rule's names into
+a key of integer symbol ids and compiles the keys, and it builds a `Rule`
+only per distinct rule, none per input line.  The garbage collector is paused
 meanwhile; see `parse_system`.
 
 Canonical rendering emits one declaration line per sort with names sorted
@@ -45,8 +45,8 @@ from .errors import (
     ParseError,
     UnknownSymbol,
 )
-from .model import NAME_RE, Language, LogicSystem, Sort, Symbol, symbol_key
-from .model import _NONSTANDARD, _STANDARD, _first_bad_name, _intern_all
+from .model import NAME_RE, Language, LogicSystem, Sort, Symbol, make_language, symbol_key
+from .model import _NONSTANDARD, _STANDARD, _first_bad_name
 
 TOKEN_RE = re.compile(r"\S+")
 KEYWORDS = ("standard", "nonstandard", "rule")
@@ -126,12 +126,12 @@ def parse_system(text: str | bytes, source_name: str = "<string>") -> SystemDocu
 
     The first pass splits each directive's payload with `str.split` and
     checks all of its names with one regex match.  Then every rule name is
-    checked against the declarations, the declared names are interned in
-    bulk, and `LogicSystem._name_keys` turns each rule's names into a key of
-    symbol ids, which `LogicSystem._from_keys` compiles: it builds a `Rule`
-    only for each distinct rule, keeps the first occurrence, and records its
-    input index, which gives that rule's line.  Columns are worked out only
-    for an error.
+    checked against the declarations, `make_language` builds the language
+    from the declared names, and `LogicSystem._name_keys` turns each rule's
+    names into a key of symbol ids, which `LogicSystem._from_keys` compiles:
+    it builds a `Rule` only for each distinct rule, keeps the first
+    occurrence, and records its input index, which gives that rule's line.
+    Columns are worked out only for an error.
 
     The cyclic garbage collector is paused for the parse and compile, which
     allocate a few containers per rule and create no cycles; see
@@ -248,9 +248,7 @@ def _read(text: str) -> tuple[Language, dict[tuple[int, ...], int], list[int]]:
         raise EmptyStandardPart("document declares no standard symbols", line=1, col=1)
     if not rule_names:
         raise EmptySystem("document contains no rules", line=1, col=1)
-    # interned in name order, which is id order: a long closure's symbols
-    # then lie together in memory
-    language = Language(*(frozenset(_intern_all(sorted(declared[sort]), sort)) for sort in (_STANDARD, _NONSTANDARD)))
+    language = make_language(declared[_STANDARD], declared[_NONSTANDARD])
     return language, LogicSystem._name_keys(language, rule_names), linenos
 
 

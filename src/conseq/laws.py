@@ -293,24 +293,25 @@ def _is_monotone(n: int, values: Sequence[int]) -> bool:
     return _zeta(n, t, code) == t
 
 
-def _covering_pairs(n: int, images: Sequence[int]) -> tuple[int, tuple[int, int] | None]:
-    """Check images[m] within images[m + b] on every covering pair, m
-    ascending, then bit b; return the pairs checked and the first failure.
+def _covering_pairs(law: str, table: OperatorTable, values: Sequence[int]) -> LawResult:
+    """The law that values[m] lies within values[m + b] on every covering
+    pair of masks of `table`, m ascending, then bit b; `checked` counts the
+    pairs up to the first failure, whose two subsets are the witness.
 
     `_is_monotone` decides; only when it fails are the pairs walked, to
     count them up to the first failing one.
     """
-    if _is_monotone(n, images):
-        return n * (1 << n) >> 1, None
+    n = len(table.universe)
+    if _is_monotone(n, values):
+        return LawResult(law, True, None, n * (1 << n) >> 1)
     checked = 0
-    for m, im in enumerate(images):
+    for m, value in enumerate(values):
         for i in range(n):
             b = 1 << i
             if not m & b:
                 checked += 1
-                if im & ~images[m | b]:
-                    return checked, (m, m | b)
-    return checked, None
+                if value & ~values[m | b]:
+                    return LawResult(law, False, (table.set_of(m), table.set_of(m | b)), checked)
 
 
 def _equal_tables(law: str, table: OperatorTable, want: tuple[int, ...]) -> LawResult:
@@ -370,21 +371,19 @@ def check_axioms(table: OperatorTable) -> LawReport:
     images = table.images
     n = len(table.universe)
     full = 1 << n
+    monotone = _covering_pairs("monotonicity", table, images)
     results = [
         _equal_tables("insertion", table, tuple(map(or_, images, range(full)))),
         _equal_tables("idempotence", table, tuple(map(images.__getitem__, images))),
+        monotone,
     ]
-
-    checked, pair = _covering_pairs(n, images)
-    witness = pair and tuple(map(table.set_of, pair))
-    results.append(LawResult("monotonicity", pair is None, witness, checked))
 
     # a table is finitary exactly when it is monotone: then each image is
     # the union of the images of its subsets.  Only a failure builds that
     # union, to name the first mask it differs on.
     witness = None
     checked = full
-    if pair:
+    if not monotone.passed:
         union = _subset_or(n, enumerate(images))
         m = next(m for m in range(full) if union[m] != images[m])
         bad = next(z for z in range(m + 1) if z & m == z and images[z] & ~images[m])
@@ -451,9 +450,7 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
 
     # matched premise sets grow with X, with the count bound m <= n implicit
     # in the representation
-    checked, pair = _covering_pairs(n, matched)
-    witness = pair and tuple(map(engine.set_of, pair))
-    results.append(LawResult("matched-count", pair is None, witness, checked))
+    results.append(_covering_pairs("matched-count", engine, matched))
 
     results.append(_equal_tables("closed-form-agreement", engine, one_pass))
     closed_form = OperatorTable(syms, one_pass)

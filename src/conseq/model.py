@@ -12,7 +12,10 @@ that pair, so equality is identity and every set and dict hashes and
 compares symbols with `object`'s C slots.  The intern table holds symbols
 by weak reference, so unreferenced ones are freed; a symbol costs about
 168 bytes: 56 for the object, 80 for its weak reference and about 32 for
-its table entry.  `Symbol` is not a dataclass: `dataclasses.fields` and
+its table entry.  One function, `_intern`, creates symbols, for `Symbol`
+and for `make_language`, which the parser builds its language with too; it
+interns a batch of names in name order, the order of the ids a system
+gives them.  `Symbol` is not a dataclass: `dataclasses.fields` and
 `replace` do not apply to it.
 
 Everything here is immutable after construction and safe to share between
@@ -72,7 +75,7 @@ class Sort(enum.Enum):
 
 # The intern tables: for each sort, name -> weak reference to the one live
 # Symbol of that (name, sort).  A reference carries no callback, so a freed
-# symbol leaves a dead entry; `_intern_all` sweeps those out whenever a table
+# symbol leaves a dead entry; `_intern` sweeps those out whenever a table
 # has doubled since its last sweep, which keeps the sweeps amortised O(1).
 _INTERNED: dict[Sort, dict[str, weakref.ref]] = {sort: {} for sort in Sort}
 # `Sort.STANDARD` is a descriptor call on Python 3.11 (about 0.2 us); the
@@ -122,7 +125,7 @@ class Symbol:
 
     def __new__(cls, name: str, sort: Sort) -> Symbol:
         # a hit returns the interned object and runs no validation again
-        return _interned(name, sort) or _intern_checked([name], sort)[0]
+        return _interned(name, sort) or _intern([name], sort)[0]
 
     def __reduce__(self):
         return Symbol, (self.name, self.sort)
@@ -144,32 +147,30 @@ class Symbol:
         return self.name
 
 
-def _intern_checked(names: list, sort: Sort) -> list[Symbol]:
-    """Validate `names` and `sort`, then intern the names in bulk; a bad
-    name raises BadIdentifier naming the first one."""
-    if (bad := _first_bad_name(names)) is not None:
-        raise BadIdentifier(f"symbol name {names[bad]!r} does not match [A-Za-z0-9_]+")
-    if not isinstance(sort, Sort):
-        raise BadIdentifier(f"bad sort for symbol {names[0]!r}: {sort!r}")
-    return _intern_all(names, sort)
-
-
 # A symbol's two slots, set directly: the class's own __setattr__ refuses
 _SET_NAME, _SET_SORT = Symbol.name.__set__, Symbol.sort.__set__
 
 
-def _intern_all(names: Iterable[str], sort: Sort) -> list[Symbol]:
-    """The symbols of `names`, in order, creating each that has no live one.
+def _intern(names: list, sort: Sort) -> list[Symbol]:
+    """The symbols of `names`, sorted by name, creating each that has no
+    live one; the one function that creates symbols.
 
-    The names must already be identifiers and `sort` a `Sort`.  One lock
-    makes every check and insert one step, so two threads never create two
-    objects for one pair, and one sweep check after the inserts keeps the
-    table from holding dead entries."""
+    A bad name raises BadIdentifier naming the first one in the caller's
+    order, and so does a `sort` that is not a `Sort`.  The names are
+    interned in name order, which is id order (`Language._numbering`), so
+    a long closure's symbols lie together in memory.  One lock makes every
+    check and insert one step, so two threads never create two objects for
+    one pair, and one sweep check after the inserts keeps the table from
+    holding dead entries."""
+    if (bad := _first_bad_name(names)) is not None:
+        raise BadIdentifier(f"symbol name {names[bad]!r} does not match [A-Za-z0-9_]+")
+    if not isinstance(sort, Sort):
+        raise BadIdentifier(f"bad sort for symbol {names[0]!r}: {sort!r}")
     table = _INTERNED[sort]
     get, new, ref = table.get, object.__new__, weakref.ref
     symbols = []
     with _INTERN_LOCK:
-        for name in names:
+        for name in sorted(names):
             symbol = (r := get(name)) and r()
             if symbol is None:
                 symbol = new(Symbol)
@@ -457,10 +458,10 @@ def make_language(
     """Build a language from two name sets; all invariants are validated.
 
     Each part's names are checked with one regex match over them all and
-    interned under one lock; a bad name raises BadIdentifier, naming the
-    first one in iteration order."""
-    std = frozenset(_intern_checked(list(standard_names), _STANDARD))
-    return Language(std, frozenset(_intern_checked(list(nonstandard_names), _NONSTANDARD)))
+    interned in name order under one lock (`_intern`); a bad name raises
+    BadIdentifier, naming the first one in iteration order."""
+    std = frozenset(_intern(list(standard_names), _STANDARD))
+    return Language(std, frozenset(_intern(list(nonstandard_names), _NONSTANDARD)))
 
 
 def make_system(
@@ -509,26 +510,27 @@ def _mixed_shape(system: LogicSystem, label: str) -> ShapeCheck:
     rule.  The disjointness is what rules out chaining: a fired conclusion
     can never enable another rule.
 
-    The compiled form decides a passing system, reading each id's sort from
-    `_of_sort`.  In both shapes every premise after the first is nonstandard
-    and every conclusion standard, so with the first premises (`_firsts`)
-    of the right sort, the premise
-    occurrences on nonstandard ids (CSR counts) number exactly the rules
-    times those positions, and only first premises can equal a conclusion.
-    The rules are scanned only on failure, to name the first offending one.
+    The compiled form decides, reading each id's sort from `_of_sort`.  In
+    both shapes every premise after the first is nonstandard and every
+    conclusion standard, so with one arity and the first premises
+    (`_firsts`) of the right sort, the premise occurrences on nonstandard
+    ids (CSR counts) number exactly the rules times those positions, and
+    only first premises can equal a conclusion.  The rules are scanned only
+    when it refuses, to name the first offending one, which a refused
+    system always has.
     """
     shape = _SHAPES[label]
-    if system._arities == {len(shape)}:
-        nonstandard_positions = [sort for _, sort in shape[:-1]].count(Sort.NONSTANDARD)
-        o = system._offsets
-        if (
-            all(map(system._of_sort[shape[0][1]].__getitem__, system._firsts))
-            and all(map(system._of_sort[shape[-1][1]].__getitem__, system._conclusions))
-            and sum(compress(map(sub, o[1:], o), system._of_sort[Sort.NONSTANDARD]))
-            == len(system._conclusions) * nonstandard_positions
-            and set(system._conclusions).isdisjoint(system._firsts)
-        ):
-            return ShapeCheck(True)
+    nonstandard_positions = [sort for _, sort in shape[:-1]].count(Sort.NONSTANDARD)
+    o = system._offsets
+    if (
+        system._arities == {len(shape)}
+        and all(map(system._of_sort[shape[0][1]].__getitem__, system._firsts))
+        and all(map(system._of_sort[shape[-1][1]].__getitem__, system._conclusions))
+        and sum(compress(map(sub, o[1:], o), system._of_sort[Sort.NONSTANDARD]))
+        == len(system._conclusions) * nonstandard_positions
+        and set(system._conclusions).isdisjoint(system._firsts)
+    ):
+        return ShapeCheck(True)
     for rule in system.rules:
         if rule.arity != len(shape):
             return ShapeCheck(False, f"rule ({rule}) is not {label}")
@@ -544,7 +546,6 @@ def _mixed_shape(system: LogicSystem, label: str) -> ShapeCheck:
                     False,
                     f"premise {p.name} of rule ({rule}) equals conclusion of rule ({other})",
                 )
-    return ShapeCheck(True)
 
 
 def is_mixed_ternary(system: LogicSystem) -> ShapeCheck:

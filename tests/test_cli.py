@@ -181,11 +181,11 @@ def test_influence_ternary_and_binary(write, capsys):
         capsys, "influence", write(TERNARY), "--conclusion", "b1", "--premise", "a1"
     )
     assert code == 0
-    assert "multiplicity 1" in out
+    assert out == "conclusion b1 (premise a1): multiplicity 1\n"
 
     code, out, _ = run(capsys, "influence", write(BINARY), "--conclusion", "b1")
     assert code == 0
-    assert "multiplicity 1" in out
+    assert out == "conclusion b1: multiplicity 1\n"
 
 
 def test_influence_records_output(write, capsys):
@@ -202,6 +202,10 @@ def test_influence_records_output(write, capsys):
     )
     assert code == 0
     assert out.strip() == "conclusion=b1 premise=a1 multiplicity=1"
+
+    code, out, _ = run(capsys, "influence", write(BINARY), "--conclusion", "b1", "--output", "records")
+    assert code == 0
+    assert out == "conclusion=b1 multiplicity=1\n"
 
 
 def test_influence_requires_conclusion(write, capsys):
@@ -246,6 +250,12 @@ def test_chain_rejects_bad_length(capsys):
     code, _, err = run(capsys, "chain", "--length", "0")
     assert code == 1
     assert "at least 1" in err
+
+
+def test_chain_rejects_a_length_that_is_not_an_integer(capsys):
+    code, out, err = run(capsys, "chain", "--length", "x")
+    assert code == 1 and out == ""
+    assert "'x' is not an integer" in err
 
 
 def test_chain_rejects_length_over_the_cap(capsys, monkeypatch):

@@ -32,7 +32,7 @@ from conseq import (
     make_language,
     make_system,
 )
-from conseq import fileformat, model
+from conseq import model
 from strategies import named_systems, system_inputs, systems
 
 BASIC = "standard: a1 b1\nnonstandard: l1\nrule: a1 l1 => b1\n"
@@ -165,7 +165,7 @@ def test_parse_restores_the_collector_after_a_base_exception(monkeypatch, enable
         seen.append(gc.isenabled())
         raise Injected
 
-    monkeypatch.setattr(fileformat, "_intern_all", interrupt)
+    monkeypatch.setattr(model, "_intern", interrupt)
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -178,7 +178,7 @@ def test_parse_restores_the_collector_after_a_base_exception(monkeypatch, enable
 
 
 def test_nested_and_concurrent_parses_leave_the_collector_on(monkeypatch):
-    intern_all = fileformat._intern_all
+    intern = model._intern
     inner = []
 
     def nested(names, sort):
@@ -186,10 +186,10 @@ def test_nested_and_concurrent_parses_leave_the_collector_on(monkeypatch):
             inner.append(None)
             inner.append(parse_system(BASIC))
             assert not gc.isenabled()  # the inner parse leaves the outer's pause on
-        return intern_all(names, sort)
+        return intern(names, sort)
 
     assert gc.isenabled()
-    monkeypatch.setattr(fileformat, "_intern_all", nested)
+    monkeypatch.setattr(model, "_intern", nested)
     parse_system(BASIC)
     assert len(inner) == 2 and gc.isenabled()
     monkeypatch.undo()
@@ -219,7 +219,7 @@ def test_a_parse_overlapping_another_leaves_the_collector_on(monkeypatch):
     # switch the collector off after the main parse re-enabled it, and
     # never switch it back on.
     main_done, b_inside = threading.Event(), threading.Event()
-    isenabled, disable, intern_all = gc.isenabled, gc.disable, fileformat._intern_all
+    isenabled, disable, intern = gc.isenabled, gc.disable, model._intern
     on_b = lambda: threading.current_thread().name == "B"
     results = []
 
@@ -241,12 +241,12 @@ def test_a_parse_overlapping_another_leaves_the_collector_on(monkeypatch):
         elif b.ident is None:  # the main parse starts B once
             b.start()
             assert b_inside.wait(10)
-        return intern_all(names, sort)
+        return intern(names, sort)
 
     b = threading.Thread(target=lambda: results.append(parse_system(BASIC)), name="B")
     monkeypatch.setattr(gc, "isenabled", reading)
     monkeypatch.setattr(gc, "disable", disabling)
-    monkeypatch.setattr(fileformat, "_intern_all", interning)
+    monkeypatch.setattr(model, "_intern", interning)
     assert isenabled()
     try:
         parse_system(BASIC)

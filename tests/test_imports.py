@@ -2,7 +2,9 @@
 
 A deletion that leaves an import behind fails here.  Stdlib only: each
 module is parsed with `ast`, and a name counts as used when it is read in
-the code, named in a string annotation, or listed in `__all__`.
+the code, named in a string annotation, or listed in `__all__`.  The same
+reading checks that the parser creates symbols only through
+`make_language`.
 """
 
 import ast
@@ -63,3 +65,17 @@ def test_module_uses_every_name_it_imports(path):
     used = used_names(tree)
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_the_parser_interns_only_through_make_language():
+    # `model._intern` creates every symbol; the parser gets its language
+    # from `make_language`, so it lays symbols out as the API does
+    tree = ast.parse((Path(conseq.__file__).parent / "fileformat.py").read_text(encoding="utf-8"))
+    from_model = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("model", "conseq.model")
+        for alias in node.names
+    ]
+    assert "make_language" in from_model
+    assert not [name for name in from_model if name.startswith("_intern")]

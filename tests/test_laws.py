@@ -94,6 +94,9 @@ def test_table_validates_universe_order_and_images():
         OperatorTable((X,), (0, 4))
     with pytest.raises(ValueError):
         OperatorTable((X,), (0,))
+    # the cap is checked first, so no images of size 2^17 are needed
+    with pytest.raises(UniverseTooLarge):
+        OperatorTable(tuple(Symbol(f"s{i:02d}", Sort.STANDARD) for i in range(17)), ())
 
 
 def test_table_stores_its_images_as_a_tuple():
@@ -134,7 +137,7 @@ def test_image_lookup_rejects_foreign_symbols():
 def test_identity_table_passes_all_laws():
     table = OperatorTable.from_function((X, Y, Z), lambda s: s)
     report = check_axioms(table)
-    assert report.ok
+    assert report.ok and bool(report) is True
     assert [r.law for r in report] == [
         "insertion",
         "idempotence",
@@ -149,7 +152,7 @@ def test_insertion_failure_has_witness():
     result = result_by_law(report, "insertion")
     assert not result.passed
     assert result.witness == (frozenset({X}),)
-    assert not report.ok
+    assert not report.ok and bool(report) is False
     assert result in report.failures
 
 
@@ -280,14 +283,14 @@ def test_generated_tables_satisfy_all_laws(system):
 
 def test_equivalent_tables():
     table = OperatorTable.from_function((X, Y), lambda s: s)
-    assert equivalent(table, table).equal
+    assert equivalent(table, table).equal and bool(equivalent(table, table)) is True
 
     def bump(s):
         return s | {Y} if s == frozenset({X}) else s
 
     other = OperatorTable.from_function((X, Y), bump)
     cmp = equivalent(table, other)
-    assert not cmp.equal
+    assert not cmp.equal and bool(cmp) is False
     assert cmp.witness == frozenset({X})
 
 
@@ -444,6 +447,16 @@ def covering_pairs_of(n):
     return [(m, m | 1 << i) for m in range(1 << n) for i in range(n) if not m >> i & 1]
 
 
+def covering_verdict(n, values):
+    """`_covering_pairs` on `values` over a table of n symbols, as (pairs
+    checked, the failing pair of masks or None)."""
+    table = OperatorTable(tuple(Symbol(f"u{i}", Sort.STANDARD) for i in range(n)), range(1 << n))
+    result = _covering_pairs("law", table, values)
+    pair = result.witness and tuple(map(table.mask_of, result.witness))
+    assert result.law == "law" and result.passed == (pair is None)
+    return result.checked, pair
+
+
 @given(subset_seeds())
 def test_subset_transform_matches_its_definition(case):
     n, pairs = case
@@ -481,7 +494,7 @@ def test_lane_monotonicity_test_matches_its_definition(case):
     pairs = covering_pairs_of(n)
     bad = [i for i, (m, w) in enumerate(pairs) if values[m] & ~values[w]]
     assert _is_monotone(n, values) == (not bad)
-    assert _covering_pairs(n, values) == ((bad[0] + 1, pairs[bad[0]]) if bad else (len(pairs), None))
+    assert covering_verdict(n, values) == ((bad[0] + 1, pairs[bad[0]]) if bad else (len(pairs), None))
 
 
 @pytest.mark.parametrize("width", WIDTHS[1:])
@@ -494,7 +507,7 @@ def test_lane_monotonicity_test_reads_the_top_bit_of_every_width(n, width):
     pairs = covering_pairs_of(n)
     first = next(i for i, (m, w) in enumerate(pairs) if values[m] & ~values[w])
     assert not _is_monotone(n, values)
-    assert _covering_pairs(n, values) == (first + 1, pairs[first])
+    assert covering_verdict(n, values) == (first + 1, pairs[first])
     values[-1] = values[0]
     assert _is_monotone(n, values)
 

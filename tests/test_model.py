@@ -4,6 +4,7 @@ recognizers."""
 import copy
 import gc
 import pickle
+import random
 import sys
 import threading
 import weakref
@@ -79,6 +80,31 @@ def test_make_language_interns_what_symbol_interns():
     assert Symbol("bulk_b", Sort.STANDARD) is lang.resolve("bulk_b") and len(lang.standard_part) == 2
     assert Symbol("bulk_l", Sort.NONSTANDARD) is lang.resolve("bulk_l")
     assert model._interned("bulk_b", Sort.NONSTANDARD) is None
+
+
+def interned_order(prefix, sort):
+    return [name for name in model._INTERNED[sort] if name.startswith(prefix)]
+
+
+def test_make_language_interns_in_name_order_as_the_parser_does():
+    # fresh names enter the intern table in the order they are created
+    std, non = [f"order_std_{i}" for i in range(40)], [f"order_non_{i}" for i in range(40)]
+    random.Random(7).shuffle(std)
+    random.Random(8).shuffle(non)
+    lang = make_language(std, non)
+    assert interned_order("order_std_", Sort.STANDARD) == sorted(std)
+    assert interned_order("order_non_", Sort.NONSTANDARD) == sorted(non)
+
+    parsed_std, parsed_non = [f"parse{name}" for name in std], [f"parse{name}" for name in non]
+    doc = parse_system(f"standard: {' '.join(parsed_std)}\nnonstandard: {' '.join(parsed_non)}\n"
+                       f"rule: {parsed_non[0]} => {parsed_std[0]}\n")
+    assert interned_order("parseorder_std_", Sort.STANDARD) == sorted(parsed_std)
+    assert interned_order("parseorder_non_", Sort.NONSTANDARD) == sorted(parsed_non)
+    assert len(lang.symbols) == len(doc.language.symbols) == 80
+
+
+def test_language_repr_lists_each_part_by_name():
+    assert repr(make_language({"b1", "a1"}, {"l1"})) == "Language(standard={a1,b1}, nonstandard={l1})"
 
 
 def test_language_parts_must_match_sorts():
