@@ -147,15 +147,16 @@ def chain_system(elements: Sequence[Symbol]) -> LogicSystem:
     elems = tuple(elements)
     if len(elems) < 2:
         raise TooShort("a chain needs at least two elements")
-    if len(set(elems)) != len(elems):
-        seen: set[Symbol] = set()
-        for e in elems:
-            if e in seen:
-                raise DuplicateElement(f"chain element {e.name!r} repeats")
-            seen.add(e)
-    language = Language(
-        frozenset(e for e in elems if e.sort is Sort.STANDARD),
-        frozenset(e for e in elems if e.sort is Sort.NONSTANDARD),
-    )
+    try:
+        if len(set(elems)) != len(elems):
+            seen: set[Symbol] = set()
+            for e in elems:
+                if e in seen:
+                    raise DuplicateElement(f"chain element {e.name!r} repeats")
+                seen.add(e)
+        standard = frozenset(e for e in elems if e.sort is Sort.STANDARD)
+    except (AttributeError, TypeError):  # an element that is not a symbol
+        _require_symbols(elems)
+        raise
     rules = tuple(Rule((a,), b) for a, b in zip(elems, elems[1:]))
-    return LogicSystem(language, rules)
+    return LogicSystem(Language(standard, frozenset(elems) - standard), rules)

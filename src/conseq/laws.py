@@ -23,12 +23,15 @@ whole-int expression that the big-int code runs over all 2^n lanes.  A
 table's closures then follow from its one-pass table in a single sweep
 (`_fixpoints`).
 
-Each law is decided by one whole-table test.  Insertion, idempotence, the
-closed form's agreement with the engine, and `equivalent` are one table
-equality (`_equal_tables`); monotonicity over all covering pairs
-(X, X + {a}) is a table that `_zeta` leaves unchanged (`_is_monotone`), and
-over a finite universe a table is finitary exactly when it is monotone.
-The per-mask walks, which `checked` counts, run only when a test fails, to
+Each law is decided by one whole-table test.  Insertion, idempotence,
+`equivalent`, and verify's rows that compare the engine's table with the
+one-pass table (on every mask, on the matched masks, or on each rule's
+premise set) or with X itself (on the unmatched masks) are one agreement
+check (`_agreement`): a table equals the wanted values on a list of masks,
+and `checked` is the length of the list.  Monotonicity over all covering
+pairs (X, X + {a}) is a table that `_zeta` leaves unchanged
+(`_is_monotone`), and over a finite universe a table is finitary exactly
+when it is monotone.  The per-mask walks run only when a test fails, to
 name the first witness.
 """
 
@@ -38,8 +41,8 @@ import sys
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress, starmap
-from operator import eq, not_, or_
+from itertools import compress
+from operator import ne, not_, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -77,6 +80,7 @@ class OperatorTable:
         n = len(self.universe)
         if n > UNIVERSE_CAP:
             raise UniverseTooLarge(f"universe has {n} symbols; the cap is {UNIVERSE_CAP}")
+        _require_symbols(self.universe)
         if len(set(self.universe)) != n:
             raise InvalidValue("universe symbols must be distinct")
         if list(self.universe) != sorted(self.universe, key=symbol_key):
@@ -314,32 +318,20 @@ def _covering_pairs(law: str, table: OperatorTable, values: Sequence[int]) -> La
                     return LawResult(law, False, (table.set_of(m), table.set_of(m | b)), checked)
 
 
-def _equal_tables(law: str, table: OperatorTable, want: tuple[int, ...]) -> LawResult:
-    """The law that table.images equals `want` on every mask.  One tuple
-    comparison decides it; `checked` is 2^n, and a failure names the first
-    mask where the two differ."""
-    images = table.images
-    witness = None
-    if images != want:
-        m = next(m for m, (a, b) in enumerate(zip(images, want)) if a != b)
-        witness = (table.set_of(m),)
-    return LawResult(law, witness is None, witness, len(images))
+def _agreement(law: str, table: OperatorTable, want: Sequence[int], masks: Sequence[int] | None = None) -> LawResult:
+    """The law that table.images[m] == want[m] for every mask m of `masks`:
+    every mask by default, otherwise the caller's masks in the caller's
+    order, repeats allowed; `checked` is the number of masks.
 
-
-def _agreement(law: str, table: OperatorTable, want: Sequence[int], select: Sequence[int]) -> LawResult:
-    """The law that table.images[m] == want[m] on every mask m whose
-    select[m] is true; `checked` counts the selected masks up to the first
-    failure.  One pass in C decides it; the masks are walked only on
-    failure, to name the first."""
+    When the two tables are equal one tuple comparison in C decides it;
+    otherwise the masks are compared with `map`, and a failure names the
+    first failing mask in `masks` order.
+    """
     images = table.images
-    if all(starmap(eq, compress(zip(images, want), select))):
-        return LawResult(law, True, None, len(select) - select.count(0))
-    checked = 0
-    for m in compress(range(len(select)), select):
-        checked += 1
-        if images[m] != want[m]:
-            break
-    return LawResult(law, False, (table.set_of(m),), checked)
+    masks = range(len(images)) if masks is None else masks
+    fails = compress(masks, map(ne, map(images.__getitem__, masks), map(want.__getitem__, masks)))
+    bad = None if images == want else next(fails, None)
+    return LawResult(law, bad is None, None if bad is None else (table.set_of(bad),), len(masks))
 
 
 def tabulate(system: LogicSystem, universe: Iterable[Symbol]) -> OperatorTable:
@@ -373,8 +365,8 @@ def check_axioms(table: OperatorTable) -> LawReport:
     full = 1 << n
     monotone = _covering_pairs("monotonicity", table, images)
     results = [
-        _equal_tables("insertion", table, tuple(map(or_, images, range(full)))),
-        _equal_tables("idempotence", table, tuple(map(images.__getitem__, images))),
+        _agreement("insertion", table, tuple(map(or_, images, range(full)))),
+        _agreement("idempotence", table, tuple(map(images.__getitem__, images))),
         monotone,
     ]
 
@@ -398,7 +390,7 @@ def equivalent(t1: OperatorTable, t2: OperatorTable) -> TableComparison:
     """Entry-by-entry equality; the witness is the first differing subset."""
     if t1.universe != t2.universe:
         raise UniverseMismatch("tables are over different universes")
-    result = _equal_tables("equivalent", t1, t2.images)
+    result = _agreement("equivalent", t1, t2.images)
     return TableComparison(result.passed, *(result.witness or ()))
 
 
@@ -425,7 +417,6 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     rule_masks = _rule_masks(system, syms)
     one_pass = tuple(_step_table(n, rule_masks))
     engine = OperatorTable(syms, _fixpoints(one_pass))
-    images = engine.images
     full = 1 << n
 
     # matched[m] = bitmask over the distinct premise sets inside m; rules
@@ -435,25 +426,16 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     matched = _subset_or(n, ((pm, 1 << i) for i, pm in enumerate(premise_sets)))
 
     results = [
-        _agreement("no-match-fixed", engine, range(full), list(map(not_, matched))),
-        _agreement("match-union", engine, one_pass, matched),
+        _agreement("no-match-fixed", engine, range(full), list(compress(range(full), map(not_, matched)))),
+        _agreement("match-union", engine, one_pass, list(compress(range(full), matched))),
+        # each rule's own premise set closes to itself plus the conclusions
+        # of every rule sharing that premise set (several rules may share one)
+        _agreement("premise-set-values", engine, one_pass, [pm for pm, _ in rule_masks]),
+        # matched premise sets grow with X, with the count bound m <= n
+        # implicit in the representation
+        _covering_pairs("matched-count", engine, matched),
+        _agreement("closed-form-agreement", engine, one_pass),
     ]
-
-    # each rule's own premise set closes to itself plus the conclusions of
-    # every rule sharing that premise set (several rules may share one)
-    witness = None
-    for pm, _ in rule_masks:
-        if images[pm] != one_pass[pm]:
-            witness = (engine.set_of(pm),)
-            break
-    results.append(LawResult("premise-set-values", witness is None, witness, len(rule_masks)))
-
-    # matched premise sets grow with X, with the count bound m <= n implicit
-    # in the representation
-    results.append(_covering_pairs("matched-count", engine, matched))
-
-    results.append(_equal_tables("closed-form-agreement", engine, one_pass))
     closed_form = OperatorTable(syms, one_pass)
     results += (replace(law, law=f"closed-form-{law.law}") for law in check_axioms(closed_form))
-
     return LawReport(tuple(results))

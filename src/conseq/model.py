@@ -209,12 +209,16 @@ class Language:
     nonstandard_part: frozenset[Symbol]
 
     def __post_init__(self):
-        object.__setattr__(self, "standard_part", frozenset(self.standard_part))
-        object.__setattr__(self, "nonstandard_part", frozenset(self.nonstandard_part))
-        for part, sort in ((self.standard_part, Sort.STANDARD), (self.nonstandard_part, Sort.NONSTANDARD)):
-            for s in part:
-                if s.sort is not sort:
-                    raise InvalidValue(f"symbol {s.name!r} in {sort.value} part has sort {s.sort.value}")
+        try:
+            object.__setattr__(self, "standard_part", frozenset(self.standard_part))
+            object.__setattr__(self, "nonstandard_part", frozenset(self.nonstandard_part))
+            for part, sort in ((self.standard_part, Sort.STANDARD), (self.nonstandard_part, Sort.NONSTANDARD)):
+                for s in part:
+                    if s.sort is not sort:
+                        raise InvalidValue(f"symbol {s.name!r} in {sort.value} part has sort {s.sort.value}")
+        except (AttributeError, TypeError):  # a member that is not a symbol
+            _require_symbols((*self.standard_part, *self.nonstandard_part))
+            raise
         if not self.standard_part:
             raise EmptyStandardPart("language needs at least one standard symbol")
         shared = {s.name for s in self.standard_part} & {s.name for s in self.nonstandard_part}
@@ -343,9 +347,11 @@ class LogicSystem:
         for i, rule in enumerate(rules):
             try:
                 key = (len(rule.premises), *map(ids.__getitem__, rule.premises), ids[rule.conclusion])
-            except KeyError as e:
-                stray = e.args[0].name
-                raise UnknownSymbol(f"rule ({rule}) uses symbol {stray!r} not in the language") from None
+            except (AttributeError, KeyError, TypeError) as e:
+                if not isinstance(rule, Rule):
+                    raise InvalidValue(f"item {rule!r} is not a Rule") from None
+                _require_symbols((*rule.premises, rule.conclusion))
+                raise UnknownSymbol(f"rule ({rule}) uses symbol {e.args[0].name!r} not in the language") from None
             keyed.setdefault(key, i)
         self._compile(keyed, rules)
 

@@ -276,6 +276,20 @@ def test_chain_rejects_prefix_outside_the_name_grammar(capsys):
     assert "'a-b0'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, status, stream",
+    [(["chain", "--length", "1"], 0, "2 symbols, 1 rules"), (["no-such-command"], 1, "invalid choice")],
+)
+def test_entry_exits_with_the_status_of_main(capsys, monkeypatch, argv, status, stream):
+    # the console script's entry point reads sys.argv and exits with main's code
+    monkeypatch.setattr(sys, "argv", ["conseq", *argv])
+    with pytest.raises(SystemExit) as info:
+        cli.entry()
+    assert info.value.code == status
+    out, err = capsys.readouterr()
+    assert stream in (err if status else out)
+
+
 def test_canon_is_idempotent(write, capsys):
     messy = "nonstandard: l2 l1\nstandard: b2 b1 a1\nrule: b1 l2 => b2\nrule: a1 l1 => b1\n"
     path = write(messy)

@@ -4,10 +4,12 @@ A deletion that leaves an import behind fails here.  Stdlib only: each
 module is parsed with `ast`, and a name counts as used when it is read in
 the code, named in a string annotation, or listed in `__all__`.  The same
 reading checks that the parser creates symbols only through
-`make_language`.
+`make_language`, and that every private function, class and method of the
+package is used somewhere in it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,3 +81,38 @@ def test_the_parser_interns_only_through_make_language():
     ]
     assert "make_language" in from_model
     assert not [name for name in from_model if name.startswith("_intern")]
+
+
+def private_definitions(tree):
+    """Every module-level private function or class, and every private
+    method of a module-level class: (qualified name, node)."""
+    def private(node):  # `_name`, not `__dunder__`
+        return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] == "_" and node.name[-2:] != "__"
+
+    for node in tree.body:
+        if private(node):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if private(member):
+                    yield f"{node.name}.{member.name}", member
+
+
+def references(node):
+    """Names read in `node`, bare or as an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_private_helper_is_used():
+    # a merge that leaves its old helper behind fails here; a helper's
+    # mentions of itself (recursion) do not count as a use
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    uses = Counter(name for tree in trees for name in references(tree))
+    definitions = [(name, node) for tree in trees for name, node in private_definitions(tree)]
+    assert len(definitions) > 40
+    dead = [name for name, node in definitions if uses[node.name] == Counter(references(node))[node.name]]
+    assert not dead, f"private helpers never used in the package: {', '.join(dead)}"

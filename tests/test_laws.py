@@ -353,10 +353,10 @@ def test_characterization_handles_shared_premise_pairs():
     "rules, first_fail",
     [
         # b fires from {a, l} and chains into c: the first matched mask fails
-        ([(("a", "l"), "b"), (("b", "l"), "c")], (1, ("a", "l"))),
+        ([(("a", "l"), "b"), (("b", "l"), "c")], ("a", "l")),
         # {a, l} fires c, which chains nowhere; {b, l} fires a, which chains
         # into c: the second matched mask is the first to fail
-        ([(("a", "l"), "c"), (("b", "l"), "a")], (2, ("b", "l"))),
+        ([(("a", "l"), "c"), (("b", "l"), "a")], ("b", "l")),
     ],
 )
 def test_characterization_rows_on_a_chaining_system(rules, first_fail):
@@ -367,12 +367,11 @@ def test_characterization_rows_on_a_chaining_system(rules, first_fail):
     system = make_system(lang, rules)
     assert not system.ternary_shape
     vars(system)["ternary_shape"] = ShapeCheck(True)
-    checked, names = first_fail
-    witness = (frozenset(map(lang.resolve, names)),)
+    witness = (frozenset(map(lang.resolve, first_fail)),)
     rows = [(r.law, r.passed, r.checked, r.witness) for r in verify_closed_form_characterization(system)]
     assert rows == [
         ("no-match-fixed", True, 10, None),
-        ("match-union", False, checked, witness),
+        ("match-union", False, 6, witness),
         ("premise-set-values", False, 2, witness),
         ("matched-count", True, 32, None),
         ("closed-form-agreement", False, 16, witness),
@@ -381,6 +380,25 @@ def test_characterization_rows_on_a_chaining_system(rules, first_fail):
         ("closed-form-monotonicity", True, 32, None),
         ("closed-form-finitary", True, 16, None),
     ]
+
+
+def test_premise_set_values_names_the_first_failing_rule_not_the_first_mask():
+    # guard bypassed.  Universe a, b, c, d, l, m (bits 0-5).  {a, m} = 33
+    # fires b and c, and c chains into d through {c, m}; {b, l} = 18 fires
+    # c, which chains into d through {c, l}.  Both premise sets fail, and
+    # the rules of {a, m} come first in rule order although its mask is the
+    # larger: premise-set-values names {a, m} and counts all five rules,
+    # repeats included, while match-union walks masks and names {b, l}.
+    lang = make_language({"a", "b", "c", "d"}, {"l", "m"})
+    system = make_system(lang, [
+        (("c", "m"), "d"), (("b", "l"), "c"), (("a", "m"), "c"), (("c", "l"), "d"), (("a", "m"), "b"),
+    ])
+    vars(system)["ternary_shape"] = ShapeCheck(True)
+    by_law = {r.law: r for r in verify_closed_form_characterization(system)}
+    am, bl = (frozenset(map(lang.resolve, names)) for names in ("am", "bl"))
+    assert [str(rule) for rule in system.rules][:3] == ["a m => b", "a m => c", "b l => c"]
+    assert (by_law["premise-set-values"].witness, by_law["premise-set-values"].checked) == ((am,), 5)
+    assert by_law["match-union"].witness == (bl,)
 
 
 @settings(max_examples=50)

@@ -4,7 +4,8 @@ Statically, a stdlib `ast` walk resolves the class named by each `raise`
 under `src/conseq/` in its module's namespace; only argparse's own protocol
 in `cli.py` and the ParseError factory in `fileformat.py` are exempt.
 Dynamically, each argument check that a caller may also catch as a
-ValueError raises `InvalidValue`, which is both.
+ValueError raises `InvalidValue`, which is both, and each constructor given
+a member that is not a `Symbol` names it in a `LanguageMismatch`.
 """
 
 import ast
@@ -15,7 +16,19 @@ from pathlib import Path
 import pytest
 
 import conseq
-from conseq import ConseqError, InfluenceWeight, InvalidValue, Language, OperatorTable, Sort, Symbol
+from conseq import (
+    ConseqError,
+    InfluenceWeight,
+    InvalidValue,
+    Language,
+    LanguageMismatch,
+    LogicSystem,
+    OperatorTable,
+    Rule,
+    Sort,
+    Symbol,
+    chain_system,
+)
 
 MODULES = sorted(Path(conseq.__file__).parent.glob("*.py"))
 
@@ -90,6 +103,10 @@ SITES = {
         "symbol 'y' in nonstandard part has sort standard",
     ),
     "influence-weight": (lambda: InfluenceWeight(X, -1), "multiplicity cannot be negative"),
+    "system-item": (
+        lambda: LogicSystem(Language(frozenset({X, Y}), frozenset()), [Rule((X,), Y), "x => y"]),
+        "item 'x => y' is not a Rule",
+    ),
 }
 
 
@@ -101,3 +118,27 @@ def test_value_checks_raise_conseq_errors(site):
     assert isinstance(info.value, ConseqError)
     assert isinstance(info.value, ValueError)
     assert str(info.value) == message
+
+
+LXY = Language(frozenset({X, Y}), frozenset({L}))
+
+# constructors given a member that is not a symbol: (call, its repr)
+NOT_SYMBOLS = {
+    "language-standard": (lambda: Language(frozenset({"a"}), frozenset()), "'a'"),
+    "language-nonstandard": (lambda: Language(frozenset({X}), [L, ["l"]]), "['l']"),
+    "system-premise": (lambda: LogicSystem(LXY, [Rule((X,), Y), Rule(("a",), "b")]), "'a'"),
+    "system-conclusion": (lambda: LogicSystem(LXY, [Rule((X, L), ["y"])]), "['y']"),
+    "table-universe": (lambda: OperatorTable(("x",), (0, 1)), "'x'"),
+    "table-unhashable": (lambda: OperatorTable((X, ["y"]), (0, 1, 2, 3)), "['y']"),
+    "chain": (lambda: chain_system(["a", "b"]), "'a'"),
+    "chain-repeat": (lambda: chain_system([X, "a", "a"]), "'a'"),
+    "chain-unhashable": (lambda: chain_system([X, ["y"]]), "['y']"),
+}
+
+
+@pytest.mark.parametrize("site", NOT_SYMBOLS)
+def test_constructors_name_a_member_that_is_not_a_symbol(site):
+    call, member = NOT_SYMBOLS[site]
+    with pytest.raises(LanguageMismatch) as info:
+        call()
+    assert str(info.value) == f"member {member} is not a Symbol"
