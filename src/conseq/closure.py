@@ -11,8 +11,8 @@ process.  Both evaluation strategies live here:
   per-rule count of still-missing premises, so only rules that just gained a
   premise are re-examined.  Runtime is linear in total premise occurrences.
   It runs on the integer ids a `LogicSystem` compiles at construction (a
-  CSR premise index and per-rule counts), marks seen symbols in a
-  bytearray, and builds `Symbol`s only for the result.
+  tuple of rule ids per premise symbol and per-rule counts), marks seen
+  symbols in a bytearray, and builds `Symbol`s only for the result.
 
 For systems whose premise symbols never occur as conclusions, a fired
 conclusion can never enable another rule, so a single pass already reaches
@@ -70,7 +70,7 @@ def close(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
     equals `close_naive`.
     """
     x = _deduction_set(system, members)
-    offsets, premise_rules, conclusions = system._offsets, system._premise_rules, system._conclusions
+    premise_rules, conclusions = system._premise_rules, system._conclusions
     need = list(system.premise_counts)
     seen = bytearray(len(system._symbols))
     queue = list(map(system._ids.__getitem__, x))
@@ -78,7 +78,7 @@ def close(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
         seen[s] = 1
     # the loop visits the ids it appends: each derived symbol once
     for s in queue:
-        for i in premise_rules[offsets[s] : offsets[s + 1]]:
+        for i in premise_rules[s]:
             need[i] -= 1
             if not need[i]:
                 c = conclusions[i]

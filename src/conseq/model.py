@@ -36,11 +36,10 @@ import re
 import threading
 import weakref
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, repeat
-from operator import attrgetter, floordiv, sub
+from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -275,7 +274,8 @@ class Rule:
     def __post_init__(self):
         object.__setattr__(self, "premises", tuple(self.premises))
         if not self.premises:
-            raise NullaryRule(f"rule concluding {self.conclusion.name!r} has no premises")
+            # `str`, not `.name`: the conclusion need not be a symbol yet
+            raise NullaryRule(f"rule concluding {str(self.conclusion)!r} has no premises")
 
     @property
     def premise_set(self) -> frozenset[Symbol]:
@@ -323,11 +323,13 @@ class LogicSystem:
     (first premise ids) and `_conclusions` (ids).  When every rule has one
     arity the key sorts by first premise id, so `_firsts` is non-decreasing
     and the rules sharing a first premise form one run, which
-    `influence.weight_ternary` bisects.  The rules having premise id s are
-    `_premise_rules[_offsets[s]:_offsets[s + 1]]` (CSR); `_arities` holds
-    the arities.  `close`, `symbols`, `conclusions` and a passing shape
-    check read only these.  `premise_index` is a view of them built on
-    first use, `first_premise_index` one built on the first one-pass query.
+    `influence.weight_ternary` bisects.  Per symbol id s:
+    `_premise_rules[s]`, the ascending ids of the rules having s among
+    their distinct premises, or the shared `()`; `_arities` holds the
+    arities.  `close`, `symbols`, `conclusions` and a passing shape check
+    read only these.  `premise_index` is a view of them built on first
+    use, sharing the tuples of `_premise_rules`, and `first_premise_index`
+    one built on the first one-pass query.
 
     One `_compile` builds all of this from the keys, and it has two front
     ends.  `LogicSystem(language, rules)` keys the caller's `Rule` objects
@@ -386,17 +388,17 @@ class LogicSystem:
         if not keyed:
             raise EmptySystem("a logic system needs at least one rule")
         keys = sorted(keyed)
-        m = len(keys)
         put = object.__setattr__
         put(self, "_sources", array("q", map(keyed.__getitem__, keys)))  # no int object per rule
         distinct = [k[1:-1] if k[0] == 1 else set(k[1:-1]) for k in keys]
-        # premise occurrence (p, rule i) as p * m + i: sorts by premise, then rule
-        codes = sorted(p * m + i for i, ps in enumerate(distinct) for p in ps)
-        per_premise = Counter(map(floordiv, codes, repeat(m)))  # occurrences per premise id
-        put(self, "_offsets", tuple(accumulate(map(per_premise.get, range(len(symbols)), repeat(0)), initial=0)))
-        put(self, "_premise_rules", tuple(c % m for c in codes))
+        # rules in canonical order, so each id's list comes out ascending
+        per_id: list[list[int]] = [[] for _ in symbols]
+        for i, ps in enumerate(distinct):
+            for p in ps:
+                per_id[p].append(i)
+        put(self, "_premise_rules", tuple(map(tuple, per_id)))  # `tuple([])` is the shared `()`
         put(self, "premise_counts", tuple(map(len, distinct)))
-        del distinct, codes, per_premise  # freed before any rule is built
+        del distinct, per_id  # freed before any rule is built
         put(self, "_firsts", tuple(k[1] for k in keys))
         put(self, "_conclusions", tuple(k[-1] for k in keys))
         put(self, "_arities", frozenset(k[0] + 1 for k in keys))
@@ -414,8 +416,7 @@ class LogicSystem:
     def symbols(self) -> frozenset[Symbol]:
         """All symbols that appear in some rule: the ids with a premise
         occurrence or a rule concluding them."""
-        o = self._offsets
-        ids = {*compress(range(len(self._symbols)), map(sub, o[1:], o)), *self._conclusions}
+        ids = {*compress(range(len(self._symbols)), self._premise_rules), *self._conclusions}
         return frozenset(map(self._symbols.__getitem__, ids))
 
     @cached_property
@@ -424,9 +425,10 @@ class LogicSystem:
 
     @cached_property
     def premise_index(self) -> dict[Symbol, tuple[int, ...]]:
-        """Maps each symbol to the indices of rules having it as a premise."""
-        o, rules = self._offsets, self._premise_rules
-        return {s: rules[o[i] : o[i + 1]] for i, s in enumerate(self._symbols) if o[i] < o[i + 1]}
+        """Maps each symbol to the indices of rules having it as a premise:
+        the nonempty entries of `_premise_rules`, the same tuple objects."""
+        rules = self._premise_rules
+        return dict(compress(zip(self._symbols, rules), rules))
 
     @cached_property
     def first_premise_index(self) -> dict[Symbol, tuple[tuple[frozenset[Symbol], Symbol], ...]]:
@@ -520,19 +522,18 @@ def _mixed_shape(system: LogicSystem, label: str) -> ShapeCheck:
     both shapes every premise after the first is nonstandard and every
     conclusion standard, so with one arity and the first premises
     (`_firsts`) of the right sort, the premise occurrences on nonstandard
-    ids (CSR counts) number exactly the rules times those positions, and
-    only first premises can equal a conclusion.  The rules are scanned only
-    when it refuses, to name the first offending one, which a refused
-    system always has.
+    ids (the lengths of their `_premise_rules`) number exactly the rules
+    times those positions, and only first premises can equal a conclusion.
+    The rules are scanned only when it refuses, to name the first offending
+    one, which a refused system always has.
     """
     shape = _SHAPES[label]
     nonstandard_positions = [sort for _, sort in shape[:-1]].count(Sort.NONSTANDARD)
-    o = system._offsets
     if (
         system._arities == {len(shape)}
         and all(map(system._of_sort[shape[0][1]].__getitem__, system._firsts))
         and all(map(system._of_sort[shape[-1][1]].__getitem__, system._conclusions))
-        and sum(compress(map(sub, o[1:], o), system._of_sort[Sort.NONSTANDARD]))
+        and sum(map(len, compress(system._premise_rules, system._of_sort[Sort.NONSTANDARD])))
         == len(system._conclusions) * nonstandard_positions
         and set(system._conclusions).isdisjoint(system._firsts)
     ):

@@ -181,6 +181,27 @@ def test_closed_form_ternary_fires_only_rules_whose_whole_premise_set_is_in():
     assert close_naive(system, x) == expected
 
 
+def test_a_repeated_premise_is_one_entry_and_fires():
+    lang = make_language({"n0", "n1", "n2"}, set())
+    system = make_system(lang, [(("n0", "n0"), "n1"), (("n1",), "n2")])
+    n0, n1, n2 = map(lang.resolve, ("n0", "n1", "n2"))
+    rule = [r.conclusion for r in system.rules].index(n1)
+    assert system._premise_rules[system._ids[n0]] == (rule,)
+    assert system.premise_counts[rule] == 1
+    assert close(system, {n0}) == {n0, n1, n2}
+
+
+def test_a_symbol_that_is_only_a_conclusion_has_no_rules():
+    lang = make_language({"n0", "n1", "n2"}, set())
+    system = make_system(lang, [(("n0",), "n1")])
+    n1, n2 = lang.resolve("n1"), lang.resolve("n2")
+    # a conclusion and a symbol of no rule both hold the shared empty tuple
+    assert system._premise_rules[system._ids[n1]] is tuple()
+    assert system._premise_rules[system._ids[n2]] is tuple()
+    assert close(system, {n1}) == {n1}
+    assert close(system, {n2}) == {n2}
+
+
 def test_first_premise_index_is_built_only_by_a_one_pass_query():
     lang = make_language({"a1", "b1", "b2"}, {"l1", "l2"})
     chaining = make_system(lang, [(("a1", "l1"), "b1"), (("b1", "l2"), "b2")])

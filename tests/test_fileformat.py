@@ -121,7 +121,7 @@ def test_parsed_system_compiles_as_the_public_constructor_does(system, rng):
     doc = parse_system("\n".join(lines))
     by_line = {f"rule: {r}": r for r in system.rules}
     built = LogicSystem(system.language, [by_line[line] for line in lines if line in by_line])
-    for field in ("rules", "_sources", "_symbols", "_ids", "_of_sort", "_offsets", "_premise_rules",
+    for field in ("rules", "_sources", "_symbols", "_ids", "_of_sort", "_premise_rules",
                   "premise_counts", "_firsts", "_conclusions", "_arities"):
         assert getattr(doc.system, field) == getattr(built, field), field
 

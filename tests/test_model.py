@@ -352,6 +352,20 @@ def test_compiled_order_and_indexes_match_their_definitions(system, rng):
     assert rebuilt.premise_counts == tuple(len(set(r.premises)) for r in rebuilt.rules)
 
 
+@given(st.one_of(systems(), named_systems()))
+def test_premise_rules_hold_one_ascending_tuple_per_symbol(system):
+    # every symbol id has an entry; `premise_index` shares its tuples
+    assert len(system._premise_rules) == len(system._symbols)
+    for s, symbol in enumerate(system._symbols):
+        entry = system._premise_rules[s]
+        assert entry == tuple(i for i, r in enumerate(system.rules) if symbol in r.premise_set)
+        if entry:
+            assert system.premise_index[symbol] is system._premise_rules[system._ids[symbol]]
+        else:
+            assert entry is tuple() and symbol not in system.premise_index
+    assert len(system.premise_index) == sum(map(bool, system._premise_rules))
+
+
 def test_mixed_ternary_accepts_disjoint_system():
     lang = make_language({"a1", "a2", "b1", "b2"}, {"l1", "l2"})
     system = make_system(lang, [(("a1", "l1"), "b1"), (("a2", "l2"), "b2")])

@@ -23,6 +23,7 @@ from conseq import (
     Language,
     LanguageMismatch,
     LogicSystem,
+    NullaryRule,
     OperatorTable,
     Rule,
     Sort,
@@ -118,6 +119,14 @@ def test_value_checks_raise_conseq_errors(site):
     assert isinstance(info.value, ConseqError)
     assert isinstance(info.value, ValueError)
     assert str(info.value) == message
+
+
+def test_a_rule_without_premises_names_any_conclusion():
+    # the conclusion is checked only by a system, so it need not be a symbol
+    for conclusion, name in ((Y, "'y'"), ("b", "'b'"), (["y"], "\"['y']\"")):
+        with pytest.raises(NullaryRule) as info:
+            Rule((), conclusion)
+        assert str(info.value) == f"rule concluding {name} has no premises"
 
 
 LXY = Language(frozenset({X, Y}), frozenset({L}))
