@@ -14,25 +14,38 @@ universe:
 * monotonicity   X subset of Y  implies  T(X) subset of T(Y)
 * finitary       T(X) = union of T(Z) over all Z subset of X
 
+Every table is packed once into one Python int, one fixed-width lane per
+mask, mask 0 lowest (`_lanes`), and the laws read that packing.  The lane
+width follows from what a table holds, never from a scan of its values
+(`_lane_bits`): images and one-pass values hold one bit per symbol, so
+their lanes are 8 bits wide up to 8 symbols and 16 bits above; verify's
+matched table holds one bit per distinct premise set, at most 7 * 8 = 56
+for a mixed ternary system over 16 symbols, so its lanes are the
+narrowest of 8, 16, 32 or 64 bits that hold that many.  An OperatorTable
+validates its images on the packing it keeps.
+
 The finitary union, the premise sets a mask matches, and the conclusions a
 system fires from a mask are all ORs over the keys inside the mask; one
 subset (zeta) transform, `_zeta`, computes each for every mask at once
-(`_subset_or`).  It runs on the whole table packed into one Python int, one
-lane of at most 64 bits per mask (`_lanes`), so each of its n steps is one
-whole-int expression that the big-int code runs over all 2^n lanes.  A
-table's closures then follow from its one-pass table in a single sweep
-(`_fixpoints`).
+(`_subset_or`), each of its n steps one whole-int expression that the
+big-int code runs over all 2^n lanes.  A table's closures then follow from
+its one-pass table in a single sweep (`_fixpoints`), the one Python loop
+over every mask left on the path of a passing check.
 
 Each law is decided by one whole-table test.  Insertion, idempotence,
 `equivalent`, and verify's rows that compare the engine's table with the
 one-pass table (on every mask, on the matched masks, or on each rule's
 premise set) or with X itself (on the unmatched masks) are one agreement
-check (`_agreement`): a table equals the wanted values on a list of masks,
-and `checked` is the length of the list.  Monotonicity over all covering
-pairs (X, X + {a}) is a table that `_zeta` leaves unchanged
+check (`_agreement`): a table equals wanted values on a list of masks
+when the XOR of the two packings is zero there, and `checked` is the
+length of the list.  For insertion the wanted table is the packing ORed
+with the identity (`_identity`, lane m holding m); for idempotence it is
+T(T(X)), the one per-mask lookup, done through a list.  Monotonicity over
+all covering pairs (X, X + {a}) is a table that `_zeta` leaves unchanged
 (`_is_monotone`), and over a finite universe a table is finitary exactly
-when it is monotone.  The per-mask walks run only when a test fails, to
-name the first witness.
+when it is monotone.  Verify's closed-form laws read the step table's
+packing as it is.  The per-mask walks run only when a test fails, to name
+the first witness.
 """
 
 from __future__ import annotations
@@ -42,7 +55,7 @@ from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
-from operator import ne, not_, or_
+from operator import not_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -57,10 +70,17 @@ from .model import LogicSystem, Symbol, _require_shape, _require_symbols, symbol
 
 UNIVERSE_CAP = 16
 
-# (lane width in bits, array typecode) for packing tables into lanes,
-# narrowest first; lane m holds bits [m*w, (m+1)*w) of the packed int
-_LANE_CODES = sorted((8 * array(c).itemsize, c) for c in "BHIQ")
+# array typecode of each lane width in bits; lane m of a packed table holds
+# bits [m*w, (m+1)*w) of its int
+_LANE_CODES = {8 * array(c).itemsize: c for c in "QIHB"}
 _BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _lane_bits(k: int) -> int:
+    """The narrowest lane width that holds k-bit values: 8 or 16 bits for
+    the images of n <= 8 or n <= 16 symbols, up to 64 bits for verify's
+    matched table.  Past 64 bits it is 64, and packing then overflows."""
+    return min((b for b in _LANE_CODES if b >= k), default=max(_LANE_CODES))
 
 
 @dataclass(frozen=True)
@@ -70,6 +90,9 @@ class OperatorTable:
     `universe` must be canonically sorted (name, then sort); `images[m]` is
     the image of the subset with bitmask m, itself encoded as a bitmask.
     Build tables with `tabulate` or `OperatorTable.from_function`.
+
+    The images are validated on their packing (`_lanes`, at the lane width
+    of n symbols), which the laws then read.
     """
 
     universe: tuple[Symbol, ...]
@@ -88,9 +111,21 @@ class OperatorTable:
         full = 1 << n
         if len(self.images) != full:
             raise InvalidValue(f"expected {full} images, got {len(self.images)}")
-        if min(self.images) < 0 or max(self.images) >= full:
-            m = next(m for m, im in enumerate(self.images) if not 0 <= im < full)
-            raise InvalidValue(f"image of mask {m} leaves the universe")
+        bits = _lane_bits(n)
+        try:
+            packed = _lanes(self.images, bits)
+        except (TypeError, OverflowError):
+            packed = -1
+        # a value that is not an int, or does not fit its lane, fails the
+        # packing; one that fits but reaches bit n sets a lane bit above it
+        over = (1 << bits) - full  # the lane bits from bit n up
+        if packed < 0 or over and packed & over * _ones(bits, full):
+            for m, im in enumerate(self.images):
+                if not isinstance(im, int):
+                    raise InvalidValue(f"image of mask {m} is not an int: {im!r}")
+                if not 0 <= im < full:
+                    raise InvalidValue(f"image of mask {m} leaves the universe")
+        object.__setattr__(self, "_packed", packed)
 
     @classmethod
     def from_function(
@@ -102,13 +137,16 @@ class OperatorTable:
         images = []
         for mask in range(1 << len(syms)):
             subset = frozenset(s for s in syms if bit[s] & mask)
-            image = 0
-            for s in fn(subset):
-                b = bit.get(s)
-                if b is None:
-                    raise InvalidValue(f"image symbol {s.name!r} is outside the universe")
-                image |= b
-            images.append(image)
+            image = fn(subset)
+            try:
+                members = frozenset(image)
+            except TypeError as e:  # not iterable, or an unhashable member
+                raise LanguageMismatch(f"image of mask {mask} is not a set of Symbols: {e}") from None
+            if not members <= bit.keys():
+                _require_symbols(members)
+                name = min(members - bit.keys(), key=symbol_key).name
+                raise InvalidValue(f"image symbol {name!r} is outside the universe")
+            images.append(sum(map(bit.__getitem__, members)))
         return cls(syms, tuple(images))
 
     @cached_property
@@ -121,7 +159,8 @@ class OperatorTable:
         for s in subset:
             try:
                 mask |= bit[s]
-            except KeyError:
+            except (KeyError, TypeError):  # outside the universe, or unhashable
+                _require_symbols((s,))
                 raise InvalidValue(f"symbol {s.name!r} is outside the universe") from None
         return mask
 
@@ -135,6 +174,14 @@ class OperatorTable:
         """All subsets of the universe in increasing bitmask order."""
         for mask in range(1 << len(self.universe)):
             yield self.set_of(mask)
+
+
+def _packed_table(universe: tuple[Symbol, ...], images: tuple[int, ...], packed: int) -> OperatorTable:
+    """A table of images known to be valid, with their packing at the lane
+    width of the universe, taken as given."""
+    table = object.__new__(OperatorTable)
+    table.__dict__.update(universe=universe, images=images, _packed=packed)
+    return table
 
 
 @dataclass(frozen=True)
@@ -210,42 +257,66 @@ def _rule_masks(system: LogicSystem, syms: tuple[Symbol, ...]) -> list[tuple[int
     return masks
 
 
-def _lanes(values: Sequence[int]) -> tuple[int, str]:
-    """Pack `values` into one big int, one fixed-width lane per value, value
-    0 in the lowest lane.
-
-    The lane is the narrowest array typecode that holds the widest value.
-    Every table fits in 64 bits: images and one-pass values hold one bit per
-    symbol (at most 16), and verify's matched table one bit per premise set,
-    of which a mixed ternary system over 16 symbols has at most 7 * 8 = 56.
-    Returns the int and the typecode.
-    """
-    top = max(values).bit_length()
-    code = next((c for b, c in _LANE_CODES if b >= top), _LANE_CODES[-1][1])
-    lanes = array(code, values)
+def _lanes(values: Iterable[int], bits: int) -> int:
+    """Pack `values` into one int, one `bits`-wide lane per value, value 0
+    in the lowest lane.  A value that is not an int or does not fit its lane
+    raises TypeError or OverflowError (from `array`)."""
+    lanes = array(_LANE_CODES[bits], values)
     if _BIG_ENDIAN:
         lanes.byteswap()
-    return int.from_bytes(lanes.tobytes(), "little"), code
+    return int.from_bytes(lanes, "little")
 
 
-def _unlanes(t: int, code: str, count: int) -> list[int]:
-    """The `count` values that `_lanes` packed into `t` with `code`."""
-    lanes = array(code, t.to_bytes(count * array(code).itemsize, "little"))
+def _unlanes(t: int, bits: int, count: int) -> list[int]:
+    """The `count` values that `_lanes` packed into `t` at `bits` per lane."""
+    lanes = array(_LANE_CODES[bits], t.to_bytes(bits // 8 * count, "little"))
     if _BIG_ENDIAN:
         lanes.byteswap()
     return lanes.tolist()
 
 
-def _zeta(n: int, t: int, code: str) -> int:
-    """The subset (zeta) transform of a table of 2^n lanes that `_lanes`
-    packed into `t` with `code`: for each bit b of the masks, highest first,
-    OR every lane m without b into lane m + b, one whole-int expression.
+def _nonzero_lanes(t: int, bits: int, count: int) -> bytes:
+    """One byte per lane of `count` lanes of `bits` bits packed into `t`,
+    zero exactly where the lane is zero.
+
+    Halving right shifts OR each lane's bytes into its lowest byte; the
+    bits they carry in from the lane above land only above that byte.
+    """
+    shift = bits // 2
+    while shift >= 8:
+        t |= t >> shift
+        shift //= 2
+    return t.to_bytes(bits // 8 * count, "little")[:: bits // 8]
+
+
+def _ones(bits: int, count: int) -> int:
+    """The value 1 in each of `count` lanes of `bits` bits."""
+    return int.from_bytes((1).to_bytes(bits // 8, "little") * count, "little")
+
+
+def _identity(n: int, bits: int) -> int:
+    """The packed table whose lane m holds m, for every mask of n symbols:
+    the upper half of 2^(i+1) lanes is the lower half plus 2^i per lane."""
+    t = 0
+    for i in range(n):
+        t |= (t + (_ones(bits, 1 << i) << i)) << (bits << i)
+    return t
+
+
+def _first_lane(t: int, bits: int) -> int:
+    """The lowest nonzero lane of a nonzero packed table."""
+    return ((t & -t).bit_length() - 1) // bits
+
+
+def _zeta(n: int, t: int, bits: int) -> int:
+    """The subset (zeta) transform of a table of 2^n lanes of `bits` bits
+    packed into `t`: for each bit b of the masks, highest first, OR every
+    lane m without b into lane m + b, one whole-int expression.
 
     `low` selects the lanes whose index lacks b, and shifting left by
     `shift` moves every lane up b lanes.  The top bit's `low` is the lower
     half of the lanes; each next one is `low ^ (low << shift)`.
     """
-    bits = 8 * array(code).itemsize
     low = 0
     for i in reversed(range(n)):
         shift = bits << i
@@ -254,60 +325,61 @@ def _zeta(n: int, t: int, code: str) -> int:
     return t
 
 
-def _subset_or(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """out[m] = OR of v over every (key, v) in `pairs` whose key lies inside m:
-    each key seeded with its values, then `_zeta`."""
-    full = 1 << n
-    out = [0] * full
+def _subset_or(n: int, pairs: Iterable[tuple[int, int]], bits: int) -> int:
+    """The packed table whose lane m is the OR of v over every (key, v) in
+    `pairs` whose key lies inside m: each key seeded with its values, in
+    zeroed lanes of `bits` bits, then `_zeta`."""
+    seeds = array(_LANE_CODES[bits], bytes(bits // 8 << n))
     for key, v in pairs:
-        out[key] |= v
-    t, code = _lanes(out)
-    return _unlanes(_zeta(n, t, code), code, full)
+        seeds[key] |= v
+    return _zeta(n, _lanes(seeds, bits), bits)
 
 
-def _step_table(n: int, rule_masks: list[tuple[int, int]]) -> list[int]:
-    """step[m] = m plus the conclusion of every rule whose premises lie in m.
+def _step_table(n: int, rule_masks: list[tuple[int, int]], bits: int) -> int:
+    """step[m] = m plus the conclusion of every rule whose premises lie in m,
+    packed at `bits` per lane.
 
     Each symbol counts as a rule deriving itself, which supplies the m.
     """
-    return _subset_or(n, [*rule_masks, *((1 << i, 1 << i) for i in range(n))])
+    return _subset_or(n, [*rule_masks, *((1 << i, 1 << i) for i in range(n))], bits)
 
 
-def _fixpoints(step: Iterable[int]) -> tuple[int, ...]:
-    """The least fixpoint of the step above every mask.
+def _fixpoints(images: list[int]) -> list[int]:
+    """The least fixpoint of the step above every mask, in place of the
+    step table `images`.
 
     Iterating the step from m passes through step[m], which is m itself or
     a larger mask, so the fixpoints settle in one pass from the top down.
     """
-    images = list(step)
     for m in reversed(range(len(images))):
         images[m] = images[images[m]]
-    return tuple(images)
+    return images
 
 
-def _is_monotone(n: int, values: Sequence[int]) -> bool:
-    """values[m] within values[m + b] for every mask m without bit b.
+def _is_monotone(n: int, t: int, bits: int) -> bool:
+    """Lane m of `t` lies within lane m + b for every mask m without bit b.
 
     One whole-int test decides all covering pairs at once: the table is its
     own subset transform.  Each step of `_zeta` only adds bits, so it ends
     where it started exactly when no step ORed a lane into one above it
     that lacked its bits.
     """
-    t, code = _lanes(values)
-    return _zeta(n, t, code) == t
+    return _zeta(n, t, bits) == t
 
 
-def _covering_pairs(law: str, table: OperatorTable, values: Sequence[int]) -> LawResult:
-    """The law that values[m] lies within values[m + b] on every covering
-    pair of masks of `table`, m ascending, then bit b; `checked` counts the
-    pairs up to the first failure, whose two subsets are the witness.
+def _covering_pairs(law: str, table: OperatorTable, t: int, bits: int) -> LawResult:
+    """The law that lane m of `t`, packed at `bits` per lane, lies within
+    lane m + b on every covering pair of masks of `table`, m ascending,
+    then bit b; `checked` counts the pairs up to the first failure, whose
+    two subsets are the witness.
 
     `_is_monotone` decides; only when it fails are the pairs walked, to
     count them up to the first failing one.
     """
     n = len(table.universe)
-    if _is_monotone(n, values):
+    if _is_monotone(n, t, bits):
         return LawResult(law, True, None, n * (1 << n) >> 1)
+    values = _unlanes(t, bits, 1 << n)
     checked = 0
     for m, value in enumerate(values):
         for i in range(n):
@@ -318,20 +390,28 @@ def _covering_pairs(law: str, table: OperatorTable, values: Sequence[int]) -> La
                     return LawResult(law, False, (table.set_of(m), table.set_of(m | b)), checked)
 
 
-def _agreement(law: str, table: OperatorTable, want: Sequence[int], masks: Sequence[int] | None = None) -> LawResult:
-    """The law that table.images[m] == want[m] for every mask m of `masks`:
-    every mask by default, otherwise the caller's masks in the caller's
-    order, repeats allowed; `checked` is the number of masks.
+def _agreement(law: str, table: OperatorTable, want: int, masks: Sequence[int] | None = None) -> LawResult:
+    """The law that lane m of `table`'s packing equals lane m of `want`,
+    packed at the same width, for every mask m of `masks`: every mask by
+    default, otherwise the caller's masks in the caller's order, repeats
+    allowed; `checked` is the number of masks.
 
-    When the two tables are equal one tuple comparison in C decides it;
-    otherwise the masks are compared with `map`, and a failure names the
-    first failing mask in `masks` order.
+    The two packings' XOR decides it: zero passes every list of masks, and
+    otherwise its lowest nonzero lane is the first failing mask.  Only a
+    list with a nonzero XOR is walked, through a byte per lane of the XOR,
+    for the first failing mask in `masks` order.
     """
-    images = table.images
-    masks = range(len(images)) if masks is None else masks
-    fails = compress(masks, map(ne, map(images.__getitem__, masks), map(want.__getitem__, masks)))
-    bad = None if images == want else next(fails, None)
-    return LawResult(law, bad is None, None if bad is None else (table.set_of(bad),), len(masks))
+    n = len(table.universe)
+    bits = _lane_bits(n)
+    diff = table._packed ^ want
+    if not diff:
+        bad = None
+    elif masks is None:
+        bad = _first_lane(diff, bits)
+    else:
+        bad = next(compress(masks, map(_nonzero_lanes(diff, bits, 1 << n).__getitem__, masks)), None)
+    checked = 1 << n if masks is None else len(masks)
+    return LawResult(law, bad is None, None if bad is None else (table.set_of(bad),), checked)
 
 
 def tabulate(system: LogicSystem, universe: Iterable[Symbol]) -> OperatorTable:
@@ -351,22 +431,27 @@ def tabulate(system: LogicSystem, universe: Iterable[Symbol]) -> OperatorTable:
     if outside:
         name = sorted(outside, key=symbol_key)[0].name
         raise LanguageMismatch(f"universe symbol {name!r} is not in the system's language")
-    return OperatorTable(syms, _fixpoints(_step_table(n, _rule_masks(system, syms))))
+    bits = _lane_bits(n)
+    step = _unlanes(_step_table(n, _rule_masks(system, syms), bits), bits, 1 << n)
+    return OperatorTable(syms, _fixpoints(step))
 
 
 def check_axioms(table: OperatorTable) -> LawReport:
     """Exhaustively decide the four closure-operator laws on a table.
 
-    Each law is decided by one whole-table comparison; the masks are walked
-    only when it fails, to name the first witness.
+    Each law is decided by one whole-table test on the table's packing;
+    the masks are walked only when it fails, to name the first witness.
     """
-    images = table.images
     n = len(table.universe)
-    full = 1 << n
-    monotone = _covering_pairs("monotonicity", table, images)
+    bits = _lane_bits(n)
+    packed = table._packed
+    images = list(table.images)
+    twice = list(map(images.__getitem__, images))
+    monotone = _covering_pairs("monotonicity", table, packed, bits)
     results = [
-        _agreement("insertion", table, tuple(map(or_, images, range(full)))),
-        _agreement("idempotence", table, tuple(map(images.__getitem__, images))),
+        # X lies within T(X) exactly when ORing X into every lane changes none
+        _agreement("insertion", table, packed | _identity(n, bits)),
+        _agreement("idempotence", table, packed if twice == images else _lanes(twice, bits)),
         monotone,
     ]
 
@@ -374,10 +459,9 @@ def check_axioms(table: OperatorTable) -> LawReport:
     # the union of the images of its subsets.  Only a failure builds that
     # union, to name the first mask it differs on.
     witness = None
-    checked = full
+    checked = 1 << n
     if not monotone.passed:
-        union = _subset_or(n, enumerate(images))
-        m = next(m for m in range(full) if union[m] != images[m])
+        m = _first_lane(_zeta(n, packed, bits) ^ packed, bits)
         bad = next(z for z in range(m + 1) if z & m == z and images[z] & ~images[m])
         witness = (table.set_of(m), table.set_of(bad))
         checked = m + 1
@@ -390,7 +474,7 @@ def equivalent(t1: OperatorTable, t2: OperatorTable) -> TableComparison:
     """Entry-by-entry equality; the witness is the first differing subset."""
     if t1.universe != t2.universe:
         raise UniverseMismatch("tables are over different universes")
-    result = _agreement("equivalent", t1, t2.images)
+    result = _agreement("equivalent", t1, t2._packed)
     return TableComparison(result.passed, *(result.witness or ()))
 
 
@@ -414,28 +498,32 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     _require_shape(system.ternary_shape, "ternary")
     syms = _universe(system.symbols, "system uses")
     n = len(syms)
-    rule_masks = _rule_masks(system, syms)
-    one_pass = tuple(_step_table(n, rule_masks))
-    engine = OperatorTable(syms, _fixpoints(one_pass))
     full = 1 << n
+    bits = _lane_bits(n)
+    rule_masks = _rule_masks(system, syms)
+    step = _step_table(n, rule_masks, bits)
+    one_pass = _unlanes(step, bits, full)
+    engine = OperatorTable(syms, _fixpoints(one_pass.copy()))
 
     # matched[m] = bitmask over the distinct premise sets inside m; rules
     # sharing a premise set match together, so this marks the same masks
     # matched, and shrinks on the same covering pairs, as one bit per rule
     premise_sets = dict.fromkeys(pm for pm, _ in rule_masks)
-    matched = _subset_or(n, ((pm, 1 << i) for i, pm in enumerate(premise_sets)))
+    matched_bits = _lane_bits(len(premise_sets))
+    matched = _subset_or(n, ((pm, 1 << i) for i, pm in enumerate(premise_sets)), matched_bits)
+    is_matched = _nonzero_lanes(matched, matched_bits, full)
 
     results = [
-        _agreement("no-match-fixed", engine, range(full), list(compress(range(full), map(not_, matched)))),
-        _agreement("match-union", engine, one_pass, list(compress(range(full), matched))),
+        _agreement("no-match-fixed", engine, _identity(n, bits), list(compress(range(full), map(not_, is_matched)))),
+        _agreement("match-union", engine, step, list(compress(range(full), is_matched))),
         # each rule's own premise set closes to itself plus the conclusions
         # of every rule sharing that premise set (several rules may share one)
-        _agreement("premise-set-values", engine, one_pass, [pm for pm, _ in rule_masks]),
+        _agreement("premise-set-values", engine, step, [pm for pm, _ in rule_masks]),
         # matched premise sets grow with X, with the count bound m <= n
         # implicit in the representation
-        _covering_pairs("matched-count", engine, matched),
-        _agreement("closed-form-agreement", engine, one_pass),
+        _covering_pairs("matched-count", engine, matched, matched_bits),
+        _agreement("closed-form-agreement", engine, step),
     ]
-    closed_form = OperatorTable(syms, one_pass)
+    closed_form = _packed_table(syms, tuple(one_pass), step)
     results += (replace(law, law=f"closed-form-{law.law}") for law in check_axioms(closed_form))
     return LawReport(tuple(results))

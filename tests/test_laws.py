@@ -32,12 +32,13 @@ from conseq import (
     tabulate,
     verify_closed_form_characterization,
 )
-from conseq.laws import _covering_pairs, _is_monotone, _subset_or
+from conseq.laws import _covering_pairs, _is_monotone, _lane_bits, _lanes, _subset_or, _unlanes
 from strategies import mixed_ternary_systems, systems
 
 X = Symbol("x", Sort.STANDARD)
 Y = Symbol("y", Sort.STANDARD)
 Z = Symbol("z", Sort.STANDARD)
+U9 = tuple(Symbol(f"u{i}", Sort.STANDARD) for i in range(9))
 
 
 def result_by_law(report, law):
@@ -111,6 +112,16 @@ def test_table_stores_its_images_as_a_tuple():
 def test_table_names_the_first_image_outside_the_universe(images, mask):
     with pytest.raises(ValueError, match=f"^image of mask {mask} leaves the universe$"):
         OperatorTable((X, Y), images)
+
+
+@pytest.mark.parametrize("n", [3, 8, 9])
+def test_an_image_reaching_bit_n_is_refused_whatever_its_lane(n):
+    # 2^n fits the 8-bit lane of 3 symbols and the 16-bit lane of 9, and
+    # overflows the 8-bit lane of 8
+    images = list(range(1 << n))
+    images[5] = 1 << n
+    with pytest.raises(ValueError, match="^image of mask 5 leaves the universe$"):
+        OperatorTable(U9[:n], images)
 
 
 def test_subsets_enumerated_in_bitmask_order():
@@ -266,6 +277,37 @@ def test_monotonicity_and_finitary_verdicts_match_their_definitions(images):
         assert fin.witness == (bad[0], part)
     else:
         assert fin.witness is None
+
+
+@st.composite
+def small_tables(draw):
+    """n from 0 to 9, so that images take 8-bit and 16-bit lanes, and the
+    image masks of a table over n symbols: arbitrary, or the identity with
+    a few entries replaced or grown, so that a first failure of insertion
+    or idempotence can sit at any subset."""
+    n = draw(st.integers(0, 9))
+    mask = st.integers(0, (1 << n) - 1)
+    if draw(st.booleans()):
+        return n, draw(st.lists(mask, min_size=1 << n, max_size=1 << n))
+    images = list(range(1 << n))
+    for m, im, grow in draw(st.lists(st.tuples(mask, mask, st.booleans()), max_size=4)):
+        images[m] = images[m] | im if grow else im
+    return n, images
+
+
+@given(small_tables())
+def test_insertion_and_idempotence_verdicts_match_their_definitions(case):
+    n, images = case
+    subsets = [frozenset(s for i, s in enumerate(U9[:n]) if m >> i & 1) for m in range(1 << n)]
+    image = {x: subsets[im] for x, im in zip(subsets, images)}
+    report = check_axioms(OperatorTable(U9[:n], images))
+
+    # insertion: X lies within T(X); idempotence: T(T(X)) = T(X).  Both
+    # check every subset, and a failure names the first in bitmask order
+    for law, holds in (("insertion", lambda x: x <= image[x]), ("idempotence", lambda x: image[image[x]] == image[x])):
+        result = result_by_law(report, law)
+        bad = [x for x in subsets if not holds(x)]
+        assert (result.passed, result.checked, result.witness) == (not bad, 1 << n, (bad[0],) if bad else None)
 
 
 @given(systems(max_symbols=6))
@@ -461,6 +503,20 @@ def subset_or_by_definition(n, pairs):
     ]
 
 
+def packed(values):
+    """`values` packed at the narrowest lane that holds the widest one, and
+    that lane width."""
+    bits = _lane_bits(max(values, default=0).bit_length())
+    return _lanes(values, bits), bits
+
+
+def subset_or(n, pairs):
+    """`_subset_or` unpacked, at the lane width of its widest value."""
+    pairs = list(pairs)
+    bits = _lane_bits(max((v for _, v in pairs), default=0).bit_length())
+    return _unlanes(_subset_or(n, pairs, bits), bits, 1 << n)
+
+
 def covering_pairs_of(n):
     return [(m, m | 1 << i) for m in range(1 << n) for i in range(n) if not m >> i & 1]
 
@@ -469,7 +525,7 @@ def covering_verdict(n, values):
     """`_covering_pairs` on `values` over a table of n symbols, as (pairs
     checked, the failing pair of masks or None)."""
     table = OperatorTable(tuple(Symbol(f"u{i}", Sort.STANDARD) for i in range(n)), range(1 << n))
-    result = _covering_pairs("law", table, values)
+    result = _covering_pairs("law", table, *packed(values))
     pair = result.witness and tuple(map(table.mask_of, result.witness))
     assert result.law == "law" and result.passed == (pair is None)
     return result.checked, pair
@@ -478,13 +534,13 @@ def covering_verdict(n, values):
 @given(subset_seeds())
 def test_subset_transform_matches_its_definition(case):
     n, pairs = case
-    out = _subset_or(n, pairs)
+    out = subset_or(n, pairs)
     assert out == subset_or_by_definition(n, pairs)
     # inflationary on its seeds, monotone, and equal to its own union
     assert all(out[k] & v == v for k, v in pairs)
     assert all(out[m] & ~out[w] == 0 for m, w in covering_pairs_of(n))
-    assert _is_monotone(n, out)
-    assert _subset_or(n, enumerate(out)) == out
+    assert _is_monotone(n, *packed(out))
+    assert subset_or(n, enumerate(out)) == out
 
 
 @st.composite
@@ -511,7 +567,7 @@ def test_lane_monotonicity_test_matches_its_definition(case):
     n, values = case
     pairs = covering_pairs_of(n)
     bad = [i for i, (m, w) in enumerate(pairs) if values[m] & ~values[w]]
-    assert _is_monotone(n, values) == (not bad)
+    assert _is_monotone(n, *packed(values)) == (not bad)
     assert covering_verdict(n, values) == ((bad[0] + 1, pairs[bad[0]]) if bad else (len(pairs), None))
 
 
@@ -524,10 +580,10 @@ def test_lane_monotonicity_test_reads_the_top_bit_of_every_width(n, width):
     values = [1 << (width - 1)] * (full - 1) + [0]
     pairs = covering_pairs_of(n)
     first = next(i for i, (m, w) in enumerate(pairs) if values[m] & ~values[w])
-    assert not _is_monotone(n, values)
+    assert not _is_monotone(n, *packed(values))
     assert covering_verdict(n, values) == (first + 1, pairs[first])
     values[-1] = values[0]
-    assert _is_monotone(n, values)
+    assert _is_monotone(n, *packed(values))
 
 
 def law_rows(n, images):

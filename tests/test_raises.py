@@ -87,6 +87,11 @@ SITES = {
     "table-sorted": (lambda: OperatorTable((Y, X), (0, 1, 2, 3)), "universe must be canonically sorted"),
     "table-count": (lambda: OperatorTable((X,), (0,)), "expected 2 images, got 1"),
     "table-image": (lambda: OperatorTable((X,), (0, 4)), "image of mask 1 leaves the universe"),
+    "table-image-float": (lambda: OperatorTable((X,), (0, 1.0)), "image of mask 1 is not an int: 1.0"),
+    "table-image-fraction": (lambda: OperatorTable((X,), (0.5, 1)), "image of mask 0 is not an int: 0.5"),
+    "table-image-str": (lambda: OperatorTable((X,), (0, "a")), "image of mask 1 is not an int: 'a'"),
+    "table-image-none": (lambda: OperatorTable((X,), (0, None)), "image of mask 1 is not an int: None"),
+    "table-image-first": (lambda: OperatorTable((X, Y), (0, -1, "a", 9)), "image of mask 1 leaves the universe"),
     "from-function": (
         lambda: OperatorTable.from_function((X,), lambda s: {Y}),
         "image symbol 'y' is outside the universe",
@@ -130,6 +135,7 @@ def test_a_rule_without_premises_names_any_conclusion():
 
 
 LXY = Language(frozenset({X, Y}), frozenset({L}))
+TABLE_X = OperatorTable((X,), (0, 1))
 
 # constructors given a member that is not a symbol: (call, its repr)
 NOT_SYMBOLS = {
@@ -139,6 +145,10 @@ NOT_SYMBOLS = {
     "system-conclusion": (lambda: LogicSystem(LXY, [Rule((X, L), ["y"])]), "['y']"),
     "table-universe": (lambda: OperatorTable(("x",), (0, 1)), "'x'"),
     "table-unhashable": (lambda: OperatorTable((X, ["y"]), (0, 1, 2, 3)), "['y']"),
+    "table-image-lookup": (lambda: TABLE_X.image(["x"]), "'x'"),
+    "table-image-unhashable": (lambda: TABLE_X.image([["x"]]), "['x']"),
+    "table-mask-of": (lambda: TABLE_X.mask_of([X, "x"]), "'x'"),
+    "table-from-function": (lambda: OperatorTable.from_function((X,), lambda s: ["x"]), "'x'"),
     "chain": (lambda: chain_system(["a", "b"]), "'a'"),
     "chain-repeat": (lambda: chain_system([X, "a", "a"]), "'a'"),
     "chain-unhashable": (lambda: chain_system([X, ["y"]]), "['y']"),
@@ -151,3 +161,10 @@ def test_constructors_name_a_member_that_is_not_a_symbol(site):
     with pytest.raises(LanguageMismatch) as info:
         call()
     assert str(info.value) == f"member {member} is not a Symbol"
+
+
+@pytest.mark.parametrize("image, reason", [(3, "'int' object is not iterable"), ([["x"]], "unhashable type: 'list'")])
+def test_from_function_names_an_image_that_is_not_a_set_of_symbols(image, reason):
+    with pytest.raises(LanguageMismatch) as info:
+        OperatorTable.from_function((X,), lambda s: image)
+    assert str(info.value) == f"image of mask 0 is not a set of Symbols: {reason}"
