@@ -21,16 +21,21 @@ width follows from what a table holds, never from a scan of its values
 their lanes are 8 bits wide up to 8 symbols and 16 bits above; verify's
 matched table holds one bit per distinct premise set, at most 7 * 8 = 56
 for a mixed ternary system over 16 symbols, so its lanes are the
-narrowest of 8, 16, 32 or 64 bits that hold that many.  An OperatorTable
-validates its images on the packing it keeps.
+narrowest of 8, 16, 32 or 64 bits that hold that many.  Verify refuses a
+system with more than 64 premise sets (`PREMISE_SET_CAP`), which only a
+bypassed shape check lets through, before it packs anything.  An
+OperatorTable validates its images on the packing it keeps.
 
 The finitary union, the premise sets a mask matches, and the conclusions a
 system fires from a mask are all ORs over the keys inside the mask; one
 subset (zeta) transform, `_zeta`, computes each for every mask at once
 (`_subset_or`), each of its n steps one whole-int expression that the
 big-int code runs over all 2^n lanes.  A table's closures then follow from
-its one-pass table in a single sweep (`_fixpoints`), the one Python loop
-over every mask left on the path of a passing check.
+its one-pass table in a single sweep (`_fixpoints`), one Python loop over
+every mask, which `tabulate` runs.  Verify runs it only when the one-pass
+table is not idempotent: when T(T(X)) = T(X) everywhere, the sweep changes
+no entry, so the one-pass table is the engine's table.  A passing verify
+therefore runs no Python loop over the masks.
 
 Each law is decided by one whole-table test.  Insertion, idempotence,
 `equivalent`, and verify's rows that compare the engine's table with the
@@ -38,9 +43,13 @@ one-pass table (on every mask, on the matched masks, or on each rule's
 premise set) or with X itself (on the unmatched masks) are one agreement
 check (`_agreement`): a table equals wanted values on a list of masks
 when the XOR of the two packings is zero there, and `checked` is the
-length of the list.  For insertion the wanted table is the packing ORed
-with the identity (`_identity`, lane m holding m); for idempotence it is
-T(T(X)), the one per-mask lookup, done through a list.  Monotonicity over
+number of masks.  Verify counts its unmatched and matched masks on the
+matched table and hands over the mask lists unbuilt; they are built only
+when the XOR is nonzero, to find the first witness.  For insertion the
+wanted table is the packing ORed with the identity (`_identity`, lane m
+holding m); for idempotence it is T(T(X)), the one per-mask lookup, a
+`map` over a list that verify computes once for the one-pass table and
+shares between the engine table and the idempotence row.  Monotonicity over
 all covering pairs (X, X + {a}) is a table that `_zeta` leaves unchanged
 (`_is_monotone`), and over a finite universe a table is finitary exactly
 when it is monotone.  Verify's closed-form laws read the step table's
@@ -56,11 +65,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
 from operator import not_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     InvalidValue,
     LanguageMismatch,
+    TooManyPremiseSets,
     UniverseIncomplete,
     UniverseMismatch,
     UniverseTooLarge,
@@ -74,13 +84,15 @@ UNIVERSE_CAP = 16
 # bits [m*w, (m+1)*w) of its int
 _LANE_CODES = {8 * array(c).itemsize: c for c in "QIHB"}
 _BIG_ENDIAN = sys.byteorder == "big"
+# verify's matched table holds one bit per distinct premise set in one lane
+PREMISE_SET_CAP = max(_LANE_CODES)
 
 
 def _lane_bits(k: int) -> int:
-    """The narrowest lane width that holds k-bit values: 8 or 16 bits for
-    the images of n <= 8 or n <= 16 symbols, up to 64 bits for verify's
-    matched table.  Past 64 bits it is 64, and packing then overflows."""
-    return min((b for b in _LANE_CODES if b >= k), default=max(_LANE_CODES))
+    """The narrowest lane width that holds k-bit values, k <= 64: 8 or 16
+    bits for the images of n <= 8 or n <= 16 symbols, up to 64 bits for
+    verify's matched table."""
+    return min(b for b in _LANE_CODES if b >= k)
 
 
 @dataclass(frozen=True)
@@ -136,8 +148,7 @@ class OperatorTable:
         bit = {s: 1 << i for i, s in enumerate(syms)}
         images = []
         for mask in range(1 << len(syms)):
-            subset = frozenset(s for s in syms if bit[s] & mask)
-            image = fn(subset)
+            image = fn(frozenset(s for s in syms if bit[s] & mask))
             try:
                 members = frozenset(image)
             except TypeError as e:  # not iterable, or an unhashable member
@@ -156,15 +167,20 @@ class OperatorTable:
     def mask_of(self, subset: Iterable[Symbol]) -> int:
         bit = self._bit
         mask = 0
-        for s in subset:
-            try:
-                mask |= bit[s]
-            except (KeyError, TypeError):  # outside the universe, or unhashable
-                _require_symbols((s,))
-                raise InvalidValue(f"symbol {s.name!r} is outside the universe") from None
+        try:
+            for s in subset:
+                try:
+                    mask |= bit[s]
+                except (KeyError, TypeError):  # outside the universe, or unhashable
+                    _require_symbols((s,))
+                    raise InvalidValue(f"symbol {s.name!r} is outside the universe") from None
+        except TypeError as e:  # not iterable
+            raise LanguageMismatch(f"subset is not a set of Symbols: {e}") from None
         return mask
 
     def set_of(self, mask: int) -> frozenset[Symbol]:
+        if not isinstance(mask, int) or mask < 0 or mask >> len(self.universe):
+            raise InvalidValue(f"mask {mask!r} is not a subset of the universe")
         return frozenset(s for i, s in enumerate(self.universe) if mask & (1 << i))
 
     def image(self, subset: Iterable[Symbol]) -> frozenset[Symbol]:
@@ -172,8 +188,7 @@ class OperatorTable:
 
     def subsets(self) -> Iterator[frozenset[Symbol]]:
         """All subsets of the universe in increasing bitmask order."""
-        for mask in range(1 << len(self.universe)):
-            yield self.set_of(mask)
+        return map(self.set_of, range(1 << len(self.universe)))
 
 
 def _packed_table(universe: tuple[Symbol, ...], images: tuple[int, ...], packed: int) -> OperatorTable:
@@ -276,17 +291,17 @@ def _unlanes(t: int, bits: int, count: int) -> list[int]:
 
 
 def _nonzero_lanes(t: int, bits: int, count: int) -> bytes:
-    """One byte per lane of `count` lanes of `bits` bits packed into `t`,
-    zero exactly where the lane is zero.
+    """One byte per lane of `count` lanes of `bits` bits packed into `t`:
+    1 where the lane is nonzero, 0 where it is zero.
 
-    Halving right shifts OR each lane's bytes into its lowest byte; the
-    bits they carry in from the lane above land only above that byte.
+    Halving right shifts, bits/2 down to 1, OR each lane's bits into its
+    lowest bit; the bits they carry in from the lane above land only above
+    that bit, since the shifts sum to bits - 1.
     """
-    shift = bits // 2
-    while shift >= 8:
+    shift = bits
+    while shift := shift // 2:
         t |= t >> shift
-        shift //= 2
-    return t.to_bytes(bits // 8 * count, "little")[:: bits // 8]
+    return (t & _ones(bits, count)).to_bytes(bits // 8 * count, "little")[:: bits // 8]
 
 
 def _ones(bits: int, count: int) -> int:
@@ -382,36 +397,30 @@ def _covering_pairs(law: str, table: OperatorTable, t: int, bits: int) -> LawRes
     values = _unlanes(t, bits, 1 << n)
     checked = 0
     for m, value in enumerate(values):
-        for i in range(n):
-            b = 1 << i
-            if not m & b:
-                checked += 1
-                if value & ~values[m | b]:
-                    return LawResult(law, False, (table.set_of(m), table.set_of(m | b)), checked)
+        for b in (1 << i for i in range(n) if not m >> i & 1):
+            checked += 1
+            if value & ~values[m | b]:
+                return LawResult(law, False, (table.set_of(m), table.set_of(m | b)), checked)
 
 
-def _agreement(law: str, table: OperatorTable, want: int, masks: Sequence[int] | None = None) -> LawResult:
+def _agreement(
+    law: str, table: OperatorTable, want: int, masks: Iterable[int] | None = None, count: int = 0
+) -> LawResult:
     """The law that lane m of `table`'s packing equals lane m of `want`,
     packed at the same width, for every mask m of `masks`: every mask by
-    default, otherwise the caller's masks in the caller's order, repeats
-    allowed; `checked` is the number of masks.
+    default, otherwise the caller's `count` masks in the caller's order,
+    repeats allowed; `checked` is the number of masks.
 
-    The two packings' XOR decides it: zero passes every list of masks, and
-    otherwise its lowest nonzero lane is the first failing mask.  Only a
-    list with a nonzero XOR is walked, through a byte per lane of the XOR,
-    for the first failing mask in `masks` order.
+    The two packings' XOR decides it: zero passes.  `masks` may be lazy:
+    it is iterated only when the XOR is nonzero, through a byte per lane of
+    the XOR, for the first failing mask in its order.
     """
     n = len(table.universe)
-    bits = _lane_bits(n)
+    if masks is None:
+        masks, count = range(1 << n), 1 << n
     diff = table._packed ^ want
-    if not diff:
-        bad = None
-    elif masks is None:
-        bad = _first_lane(diff, bits)
-    else:
-        bad = next(compress(masks, map(_nonzero_lanes(diff, bits, 1 << n).__getitem__, masks)), None)
-    checked = 1 << n if masks is None else len(masks)
-    return LawResult(law, bad is None, None if bad is None else (table.set_of(bad),), checked)
+    bad = next(filter(_nonzero_lanes(diff, _lane_bits(n), 1 << n).__getitem__, masks), None) if diff else None
+    return LawResult(law, bad is None, None if bad is None else (table.set_of(bad),), count)
 
 
 def tabulate(system: LogicSystem, universe: Iterable[Symbol]) -> OperatorTable:
@@ -423,14 +432,10 @@ def tabulate(system: LogicSystem, universe: Iterable[Symbol]) -> OperatorTable:
     """
     syms = _universe(universe)
     n = len(syms)
-    missing = system.symbols - set(syms)
-    if missing:
-        name = sorted(missing, key=symbol_key)[0].name
-        raise UniverseIncomplete(f"universe is missing system symbol {name!r}")
-    outside = set(syms) - system.language.symbols
-    if outside:
-        name = sorted(outside, key=symbol_key)[0].name
-        raise LanguageMismatch(f"universe symbol {name!r} is not in the system's language")
+    if missing := system.symbols - set(syms):
+        raise UniverseIncomplete(f"universe is missing system symbol {min(missing, key=symbol_key).name!r}")
+    if outside := set(syms) - system.language.symbols:
+        raise LanguageMismatch(f"universe symbol {min(outside, key=symbol_key).name!r} is not in the system's language")
     bits = _lane_bits(n)
     step = _unlanes(_step_table(n, _rule_masks(system, syms), bits), bits, 1 << n)
     return OperatorTable(syms, _fixpoints(step))
@@ -442,11 +447,16 @@ def check_axioms(table: OperatorTable) -> LawReport:
     Each law is decided by one whole-table test on the table's packing;
     the masks are walked only when it fails, to name the first witness.
     """
+    images = list(table.images)
+    return _axioms(table, images, list(map(images.__getitem__, images)))
+
+
+def _axioms(table: OperatorTable, images: list[int], twice: list[int]) -> LawReport:
+    """`check_axioms` on a table whose images are the list `images` and
+    whose T(T(X)) is the list `twice`."""
     n = len(table.universe)
     bits = _lane_bits(n)
     packed = table._packed
-    images = list(table.images)
-    twice = list(map(images.__getitem__, images))
     monotone = _covering_pairs("monotonicity", table, packed, bits)
     results = [
         # X lies within T(X) exactly when ORing X into every lane changes none
@@ -458,14 +468,12 @@ def check_axioms(table: OperatorTable) -> LawReport:
     # a table is finitary exactly when it is monotone: then each image is
     # the union of the images of its subsets.  Only a failure builds that
     # union, to name the first mask it differs on.
-    witness = None
-    checked = 1 << n
-    if not monotone.passed:
+    if monotone.passed:
+        results.append(LawResult("finitary", True, None, 1 << n))
+    else:
         m = _first_lane(_zeta(n, packed, bits) ^ packed, bits)
         bad = next(z for z in range(m + 1) if z & m == z and images[z] & ~images[m])
-        witness = (table.set_of(m), table.set_of(bad))
-        checked = m + 1
-    results.append(LawResult("finitary", witness is None, witness, checked))
+        results.append(LawResult("finitary", False, (table.set_of(m), table.set_of(bad)), m + 1))
 
     return LawReport(tuple(results))
 
@@ -494,6 +502,13 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     equality says that one pass is already a fixpoint, which is the
     theorem's content.  That the engine's table matches the plain rule scan
     of `close_naive` is checked by the tests, not here.
+
+    The fixpoints are the one-pass table itself exactly when that table is
+    idempotent, which every system that passes the shape check is; the
+    sweep `_fixpoints` runs only otherwise, on a system whose shape check
+    was bypassed.  The idempotence row reuses the same T(T(X)).  A system
+    with more than `PREMISE_SET_CAP` distinct premise sets, which only a
+    bypassed shape check admits, raises TooManyPremiseSets.
     """
     _require_shape(system.ternary_shape, "ternary")
     syms = _universe(system.symbols, "system uses")
@@ -501,29 +516,38 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     full = 1 << n
     bits = _lane_bits(n)
     rule_masks = _rule_masks(system, syms)
-    step = _step_table(n, rule_masks, bits)
-    one_pass = _unlanes(step, bits, full)
-    engine = OperatorTable(syms, _fixpoints(one_pass.copy()))
-
     # matched[m] = bitmask over the distinct premise sets inside m; rules
     # sharing a premise set match together, so this marks the same masks
     # matched, and shrinks on the same covering pairs, as one bit per rule
     premise_sets = dict.fromkeys(pm for pm, _ in rule_masks)
+    if len(premise_sets) > PREMISE_SET_CAP:
+        raise TooManyPremiseSets(f"system has {len(premise_sets)} premise sets; the cap is {PREMISE_SET_CAP}")
+    step = _step_table(n, rule_masks, bits)
+    one_pass = _unlanes(step, bits, full)
+    twice = list(map(one_pass.__getitem__, one_pass))
+    closed_form = _packed_table(syms, tuple(one_pass), step)
+    # when one pass is idempotent, the sweep of `_fixpoints` changes no entry
+    engine = closed_form if twice == one_pass else OperatorTable(syms, _fixpoints(one_pass.copy()))
+
     matched_bits = _lane_bits(len(premise_sets))
     matched = _subset_or(n, ((pm, 1 << i) for i, pm in enumerate(premise_sets)), matched_bits)
     is_matched = _nonzero_lanes(matched, matched_bits, full)
+    # X on the unmatched masks and the engine's own lanes on the matched
+    # ones, so the XOR with the engine is zero wherever X is not checked
+    lanes = bytearray(bits // 8 * full)
+    lanes[:: bits // 8] = is_matched
+    fixed = _identity(n, bits) | engine._packed & int.from_bytes(lanes, "little") * ((1 << bits) - 1)
 
     results = [
-        _agreement("no-match-fixed", engine, _identity(n, bits), list(compress(range(full), map(not_, is_matched)))),
-        _agreement("match-union", engine, step, list(compress(range(full), is_matched))),
+        _agreement("no-match-fixed", engine, fixed, compress(range(full), map(not_, is_matched)), is_matched.count(0)),
+        _agreement("match-union", engine, step, compress(range(full), is_matched), is_matched.count(1)),
         # each rule's own premise set closes to itself plus the conclusions
         # of every rule sharing that premise set (several rules may share one)
-        _agreement("premise-set-values", engine, step, [pm for pm, _ in rule_masks]),
+        _agreement("premise-set-values", engine, step, (pm for pm, _ in rule_masks), len(rule_masks)),
         # matched premise sets grow with X, with the count bound m <= n
         # implicit in the representation
         _covering_pairs("matched-count", engine, matched, matched_bits),
         _agreement("closed-form-agreement", engine, step),
     ]
-    closed_form = _packed_table(syms, tuple(one_pass), step)
-    results += (replace(law, law=f"closed-form-{law.law}") for law in check_axioms(closed_form))
+    results += (replace(law, law=f"closed-form-{law.law}") for law in _axioms(closed_form, one_pass, twice))
     return LawReport(tuple(results))

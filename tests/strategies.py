@@ -70,6 +70,20 @@ def mixed_ternary_systems(draw, max_each=4, max_rules=5):
 
 
 @st.composite
+def chaining_ternary_systems(draw, max_each=4, max_rules=6):
+    """(standard, nonstandard) => standard systems whose conclusions may
+    also be first premises, so rules can chain and one pass need not reach
+    the closure; such a system fails is_mixed_ternary unless no conclusion
+    is ever a premise."""
+    firsts = [f"a{i}" for i in range(draw(st.integers(2, max_each + 1)))]
+    mids = [f"l{i}" for i in range(draw(st.integers(1, max_each)))]
+    lang = make_language(firsts, mids)
+    rule = st.tuples(st.sampled_from(firsts), st.sampled_from(mids), st.sampled_from(firsts))
+    triples = draw(st.lists(rule, min_size=1, max_size=max_rules))
+    return make_system(lang, [((a, l), b) for a, l, b in triples])
+
+
+@st.composite
 def mixed_binary_systems(draw, max_each=5, max_rules=5):
     """Systems accepted by is_mixed_binary: nonstandard => standard."""
     mids = [f"l{i}" for i in range(draw(st.integers(1, max_each)))]

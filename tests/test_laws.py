@@ -7,7 +7,9 @@ witness is re-checked against the table it came from.
 """
 
 import functools
+import itertools
 import operator
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from conseq import (
     ShapeCheck,
     Sort,
     Symbol,
+    TooManyPremiseSets,
     UniverseIncomplete,
     UniverseMismatch,
     UniverseTooLarge,
@@ -29,11 +32,13 @@ from conseq import (
     equivalent,
     make_language,
     make_system,
+    step,
     tabulate,
     verify_closed_form_characterization,
 )
+from conseq import laws
 from conseq.laws import _covering_pairs, _is_monotone, _lane_bits, _lanes, _subset_or, _unlanes
-from strategies import mixed_ternary_systems, systems
+from strategies import chaining_ternary_systems, mixed_ternary_systems, systems
 
 X = Symbol("x", Sort.STANDARD)
 Y = Symbol("y", Sort.STANDARD)
@@ -472,6 +477,97 @@ def test_matched_counts_monotone_and_bounded(system):
     for i, s in enumerate(pool):
         without = full - {s}
         assert matched(without) <= matched(full)
+
+
+def verify_with_engine(system):
+    """verify's report, and the engine table that its rows compare the
+    one-pass table and X with, taken from its calls to `_agreement`."""
+    with mock.patch.object(laws, "_agreement", wraps=laws._agreement) as spy:
+        report = verify_closed_form_characterization(system)
+    tables = {c.args[0]: c.args[1] for c in spy.call_args_list}
+    engine = tables["closed-form-agreement"]
+    assert all(tables[law] is engine for law in ("no-match-fixed", "match-union", "premise-set-values"))
+    return report, engine
+
+
+def all_subsets(symbols):
+    return [frozenset(c) for k in range(len(symbols) + 1) for c in itertools.combinations(symbols, k)]
+
+
+@settings(max_examples=50)
+@given(mixed_ternary_systems())
+def test_verify_engine_table_and_counts_match_independent_references(system):
+    report, engine = verify_with_engine(system)
+    assert set(engine.universe) == system.symbols
+    assert engine.images == tabulate(system, engine.universe).images
+    # a subset is matched when it contains some rule's premise set
+    subsets = all_subsets(engine.universe)
+    matched = sum(any(r.premise_set <= x for r in system.rules) for x in subsets)
+    by_law = {r.law: r.checked for r in report}
+    assert by_law["match-union"] == matched
+    assert by_law["no-match-fixed"] == len(subsets) - matched
+
+
+def breaks(system, law, witness):
+    """Whether `witness` breaks verify's `law`, re-checked with `close` and
+    `step` on subsets of symbols rather than on masks."""
+    premise_sets = {r.premise_set for r in system.rules}
+    x, *rest = witness
+
+    def matched(z):
+        return {p for p in premise_sets if p <= z}
+
+    def covers(z):  # z is x plus one symbol
+        return x < z and len(z - x) == 1
+
+    engine_differs = close(system, x) != step(system, x)
+    checks = {
+        "no-match-fixed": lambda: not matched(x) and close(system, x) != x,
+        "match-union": lambda: bool(matched(x)) and engine_differs,
+        "premise-set-values": lambda: x in premise_sets and engine_differs,
+        "matched-count": lambda: covers(rest[0]) and not matched(x) <= matched(rest[0]),
+        "closed-form-agreement": lambda: engine_differs,
+        "closed-form-insertion": lambda: not x <= step(system, x),
+        "closed-form-idempotence": lambda: step(system, step(system, x)) != step(system, x),
+        "closed-form-monotonicity": lambda: covers(rest[0]) and not step(system, x) <= step(system, rest[0]),
+        "closed-form-finitary": lambda: rest[0] <= x and not step(system, rest[0]) <= step(system, x),
+    }
+    return checks[law]()
+
+
+@settings(max_examples=50)
+@given(chaining_ternary_systems())
+def test_failing_rows_on_chaining_systems_name_witnesses_that_break_their_law(system):
+    # guard bypassed: the engine table is the fixpoints of the one-pass
+    # table, which only a chaining system makes differ from it
+    vars(system)["ternary_shape"] = ShapeCheck(True)
+    report, engine = verify_with_engine(system)
+    assert engine.images == tabulate(system, engine.universe).images
+    one_pass_is_closure = all(close(system, x) == step(system, x) for x in all_subsets(engine.universe))
+    assert result_by_law(report, "closed-form-agreement").passed == one_pass_is_closure
+    for row in report.failures:
+        assert breaks(system, row.law, row.witness), str(row)
+
+
+def pair_system(n_pairs):
+    """A system, shape check bypassed, over s00..s11 and c whose rules
+    `si sj => c` have the first `n_pairs` of the 66 pairs as premise sets."""
+    names = [f"s{i:02d}" for i in range(12)]
+    pairs = list(itertools.combinations(names, 2))[:n_pairs]
+    system = make_system(make_language(names + ["c"], ["l"]), [(p, "c") for p in pairs])
+    vars(system)["ternary_shape"] = ShapeCheck(True)
+    return system
+
+
+def test_characterization_refuses_more_than_64_premise_sets_before_packing():
+    # the matched table holds one bit per premise set in a lane of at most
+    # 64 bits; the count is checked before any table is built
+    with mock.patch.object(laws, "_subset_or", side_effect=AssertionError("packed")):
+        with pytest.raises(TooManyPremiseSets) as info:
+            verify_closed_form_characterization(pair_system(65))
+    assert str(info.value) == "system has 65 premise sets; the cap is 64"
+    report = verify_closed_form_characterization(pair_system(64))
+    assert report.ok and result_by_law(report, "premise-set-values").checked == 64
 
 
 # value widths that cross every lane typecode (8, 16, 32 and 64 bits)

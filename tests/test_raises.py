@@ -100,6 +100,11 @@ SITES = {
         lambda: OperatorTable.from_function((X,), lambda s: s).mask_of({Y}),
         "symbol 'y' is outside the universe",
     ),
+    # a mask with a bit past the universe, or a negative one, names no subset
+    "set-of-outside": (lambda: OperatorTable((X,), (0, 1)).set_of(5), "mask 5 is not a subset of the universe"),
+    "set-of-negative": (lambda: OperatorTable((X,), (0, 1)).set_of(-1), "mask -1 is not a subset of the universe"),
+    "set-of-empty-universe": (lambda: OperatorTable((), (0,)).set_of(1), "mask 1 is not a subset of the universe"),
+    "set-of-float": (lambda: OperatorTable((X,), (0, 1)).set_of(1.0), "mask 1.0 is not a subset of the universe"),
     "language-standard": (
         lambda: Language(frozenset({L}), frozenset()),
         "symbol 'l' in standard part has sort nonstandard",
@@ -161,6 +166,22 @@ def test_constructors_name_a_member_that_is_not_a_symbol(site):
     with pytest.raises(LanguageMismatch) as info:
         call()
     assert str(info.value) == f"member {member} is not a Symbol"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: TABLE_X.image(3), lambda: TABLE_X.image(None), lambda: TABLE_X.mask_of(3), lambda: TABLE_X.mask_of(None)],
+    ids=["image-int", "image-none", "mask-of-int", "mask-of-none"],
+)
+def test_table_lookups_name_a_subset_that_is_not_iterable(call):
+    with pytest.raises(LanguageMismatch) as info:
+        call()
+    assert str(info.value).startswith("subset is not a set of Symbols: ")
+    assert str(info.value).endswith("object is not iterable")
+
+
+def test_set_of_accepts_every_mask_of_the_universe():
+    assert [TABLE_X.set_of(m) for m in (0, 1, True)] == [frozenset(), {X}, {X}]
 
 
 @pytest.mark.parametrize("image, reason", [(3, "'int' object is not iterable"), ([["x"]], "unhashable type: 'list'")])
