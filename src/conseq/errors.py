@@ -104,13 +104,6 @@ class UniverseMismatch(ConseqError):
     """Two tables can only be compared over the same universe."""
 
 
-class TooManyPremiseSets(ConseqError):
-    """The closed-form check holds one bit per distinct premise set of a
-    system in a lane of at most 64 bits, so it refuses a system with more
-    than 64 of them.  A mixed ternary system over 16 symbols has at most
-    56, so only a system whose shape check was bypassed reaches this."""
-
-
 # -- text format -------------------------------------------------------------
 
 class ParseError(ConseqError):

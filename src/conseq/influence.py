@@ -40,6 +40,8 @@ class InfluenceWeight:
     anchor_premise: Symbol | None = None
 
     def __post_init__(self):
+        if not isinstance(self.multiplicity, int):
+            raise InvalidValue(f"multiplicity is not an int: {self.multiplicity!r}")
         if self.multiplicity < 0:
             raise InvalidValue("multiplicity cannot be negative")
 

@@ -14,21 +14,18 @@ universe:
 * monotonicity   X subset of Y  implies  T(X) subset of T(Y)
 * finitary       T(X) = union of T(Z) over all Z subset of X
 
-Every table is packed once into one Python int, one fixed-width lane per
-mask, mask 0 lowest (`_lanes`), and the laws read that packing.  The lane
-width follows from what a table holds, never from a scan of its values
-(`_lane_bits`): images and one-pass values hold one bit per symbol, so
-their lanes are 8 bits wide up to 8 symbols and 16 bits above; verify's
-matched table holds one bit per distinct premise set, at most 7 * 8 = 56
-for a mixed ternary system over 16 symbols, so its lanes are the
-narrowest of 8, 16, 32 or 64 bits that hold that many.  Verify refuses a
-system with more than 64 premise sets (`PREMISE_SET_CAP`), which only a
-bypassed shape check lets through, before it packs anything.  An
-OperatorTable validates its images on the packing it keeps.
+Every table is packed once into one Python int, one lane per mask, mask 0
+lowest (`_lanes`), and the laws read that packing.  Every lane has the one
+width `_BITS` of an array "H" item, at least 16 bits, since every table
+holds subsets of the universe: images, one-pass values, and verify's
+matched table, whose lane m is the union U(m) of the premise sets inside
+m.  U(m) is nonzero exactly on the matched masks, and the premise sets
+inside m are among those inside m' exactly when U(m) lies within U(m').
+An OperatorTable validates its images on the packing it keeps.
 
-The finitary union, the premise sets a mask matches, and the conclusions a
-system fires from a mask are all ORs over the keys inside the mask; one
-subset (zeta) transform, `_zeta`, computes each for every mask at once
+The finitary union, the union of the premise sets a mask matches, and the
+conclusions a system fires from a mask are all ORs over the keys inside
+the mask; one subset (zeta) transform, `_zeta`, computes each for every mask at once
 (`_subset_or`), each of its n steps one whole-int expression that the
 big-int code runs over all 2^n lanes.  A table's closures then follow from
 its one-pass table in a single sweep (`_fixpoints`), one Python loop over
@@ -70,7 +67,6 @@ from typing import Callable, Iterable, Iterator
 from .errors import (
     InvalidValue,
     LanguageMismatch,
-    TooManyPremiseSets,
     UniverseIncomplete,
     UniverseMismatch,
     UniverseTooLarge,
@@ -80,19 +76,10 @@ from .model import LogicSystem, Symbol, _require_shape, _require_symbols, symbol
 
 UNIVERSE_CAP = 16
 
-# array typecode of each lane width in bits; lane m of a packed table holds
-# bits [m*w, (m+1)*w) of its int
-_LANE_CODES = {8 * array(c).itemsize: c for c in "QIHB"}
+# lane m of a packed table holds bits [m*_BITS, (m+1)*_BITS) of its int, an
+# array "H" item: at least 16 bits, so any subset of UNIVERSE_CAP symbols
+_BITS = 8 * array("H").itemsize
 _BIG_ENDIAN = sys.byteorder == "big"
-# verify's matched table holds one bit per distinct premise set in one lane
-PREMISE_SET_CAP = max(_LANE_CODES)
-
-
-def _lane_bits(k: int) -> int:
-    """The narrowest lane width that holds k-bit values, k <= 64: 8 or 16
-    bits for the images of n <= 8 or n <= 16 symbols, up to 64 bits for
-    verify's matched table."""
-    return min(b for b in _LANE_CODES if b >= k)
 
 
 @dataclass(frozen=True)
@@ -103,8 +90,8 @@ class OperatorTable:
     the image of the subset with bitmask m, itself encoded as a bitmask.
     Build tables with `tabulate` or `OperatorTable.from_function`.
 
-    The images are validated on their packing (`_lanes`, at the lane width
-    of n symbols), which the laws then read.
+    The images are validated on their packing (`_lanes`), which the laws
+    then read.
     """
 
     universe: tuple[Symbol, ...]
@@ -123,15 +110,14 @@ class OperatorTable:
         full = 1 << n
         if len(self.images) != full:
             raise InvalidValue(f"expected {full} images, got {len(self.images)}")
-        bits = _lane_bits(n)
         try:
-            packed = _lanes(self.images, bits)
+            packed = _lanes(self.images)
         except (TypeError, OverflowError):
             packed = -1
         # a value that is not an int, or does not fit its lane, fails the
         # packing; one that fits but reaches bit n sets a lane bit above it
-        over = (1 << bits) - full  # the lane bits from bit n up
-        if packed < 0 or over and packed & over * _ones(bits, full):
+        over = (1 << _BITS) - full  # the lane bits from bit n up
+        if packed < 0 or over and packed & over * _ones(full):
             for m, im in enumerate(self.images):
                 if not isinstance(im, int):
                     raise InvalidValue(f"image of mask {m} is not an int: {im!r}")
@@ -192,8 +178,8 @@ class OperatorTable:
 
 
 def _packed_table(universe: tuple[Symbol, ...], images: tuple[int, ...], packed: int) -> OperatorTable:
-    """A table of images known to be valid, with their packing at the lane
-    width of the universe, taken as given."""
+    """A table of images known to be valid, with their packing, taken as
+    given."""
     table = object.__new__(OperatorTable)
     table.__dict__.update(universe=universe, images=images, _packed=packed)
     return table
@@ -272,61 +258,60 @@ def _rule_masks(system: LogicSystem, syms: tuple[Symbol, ...]) -> list[tuple[int
     return masks
 
 
-def _lanes(values: Iterable[int], bits: int) -> int:
-    """Pack `values` into one int, one `bits`-wide lane per value, value 0
-    in the lowest lane.  A value that is not an int or does not fit its lane
-    raises TypeError or OverflowError (from `array`)."""
-    lanes = array(_LANE_CODES[bits], values)
+def _lanes(values: Iterable[int]) -> int:
+    """Pack `values` into one int, one lane per value, value 0 in the lowest
+    lane.  A value that is not an int or does not fit its lane raises
+    TypeError or OverflowError (from `array`)."""
+    lanes = array("H", values)
     if _BIG_ENDIAN:
         lanes.byteswap()
     return int.from_bytes(lanes, "little")
 
 
-def _unlanes(t: int, bits: int, count: int) -> list[int]:
-    """The `count` values that `_lanes` packed into `t` at `bits` per lane."""
-    lanes = array(_LANE_CODES[bits], t.to_bytes(bits // 8 * count, "little"))
+def _unlanes(t: int, count: int) -> list[int]:
+    """The `count` values that `_lanes` packed into `t`."""
+    lanes = array("H", t.to_bytes(_BITS // 8 * count, "little"))
     if _BIG_ENDIAN:
         lanes.byteswap()
     return lanes.tolist()
 
 
-def _nonzero_lanes(t: int, bits: int, count: int) -> bytes:
-    """One byte per lane of `count` lanes of `bits` bits packed into `t`:
-    1 where the lane is nonzero, 0 where it is zero.
+def _nonzero_lanes(t: int, count: int) -> bytes:
+    """One byte per lane of `count` lanes packed into `t`: 1 where the lane
+    is nonzero, 0 where it is zero.
 
-    Halving right shifts, bits/2 down to 1, OR each lane's bits into its
-    lowest bit; the bits they carry in from the lane above land only above
-    that bit, since the shifts sum to bits - 1.
+    The right shifts 8, 4, 2, 1 OR each lane's 16 low bits, which hold
+    every value a table packs, into its lowest bit; the bits they carry in
+    from the lane above land only above that bit, since the shifts sum to 15.
     """
-    shift = bits
-    while shift := shift // 2:
+    for shift in 8, 4, 2, 1:
         t |= t >> shift
-    return (t & _ones(bits, count)).to_bytes(bits // 8 * count, "little")[:: bits // 8]
+    return (t & _ones(count)).to_bytes(_BITS // 8 * count, "little")[:: _BITS // 8]
 
 
-def _ones(bits: int, count: int) -> int:
-    """The value 1 in each of `count` lanes of `bits` bits."""
-    return int.from_bytes((1).to_bytes(bits // 8, "little") * count, "little")
+def _ones(count: int) -> int:
+    """The value 1 in each of `count` lanes."""
+    return int.from_bytes((1).to_bytes(_BITS // 8, "little") * count, "little")
 
 
-def _identity(n: int, bits: int) -> int:
+def _identity(n: int) -> int:
     """The packed table whose lane m holds m, for every mask of n symbols:
     the upper half of 2^(i+1) lanes is the lower half plus 2^i per lane."""
     t = 0
     for i in range(n):
-        t |= (t + (_ones(bits, 1 << i) << i)) << (bits << i)
+        t |= (t + (_ones(1 << i) << i)) << (_BITS << i)
     return t
 
 
-def _first_lane(t: int, bits: int) -> int:
+def _first_lane(t: int) -> int:
     """The lowest nonzero lane of a nonzero packed table."""
-    return ((t & -t).bit_length() - 1) // bits
+    return ((t & -t).bit_length() - 1) // _BITS
 
 
-def _zeta(n: int, t: int, bits: int) -> int:
-    """The subset (zeta) transform of a table of 2^n lanes of `bits` bits
-    packed into `t`: for each bit b of the masks, highest first, OR every
-    lane m without b into lane m + b, one whole-int expression.
+def _zeta(n: int, t: int) -> int:
+    """The subset (zeta) transform of a table of 2^n lanes packed into `t`:
+    for each bit b of the masks, highest first, OR every lane m without b
+    into lane m + b, one whole-int expression.
 
     `low` selects the lanes whose index lacks b, and shifting left by
     `shift` moves every lane up b lanes.  The top bit's `low` is the lower
@@ -334,29 +319,29 @@ def _zeta(n: int, t: int, bits: int) -> int:
     """
     low = 0
     for i in reversed(range(n)):
-        shift = bits << i
+        shift = _BITS << i
         low = low ^ (low << shift) if low else (1 << shift) - 1
         t |= (t & low) << shift
     return t
 
 
-def _subset_or(n: int, pairs: Iterable[tuple[int, int]], bits: int) -> int:
+def _subset_or(n: int, pairs: Iterable[tuple[int, int]]) -> int:
     """The packed table whose lane m is the OR of v over every (key, v) in
     `pairs` whose key lies inside m: each key seeded with its values, in
-    zeroed lanes of `bits` bits, then `_zeta`."""
-    seeds = array(_LANE_CODES[bits], bytes(bits // 8 << n))
+    zeroed lanes, then `_zeta`."""
+    seeds = array("H", bytes(_BITS // 8 << n))
     for key, v in pairs:
         seeds[key] |= v
-    return _zeta(n, _lanes(seeds, bits), bits)
+    return _zeta(n, _lanes(seeds))
 
 
-def _step_table(n: int, rule_masks: list[tuple[int, int]], bits: int) -> int:
+def _step_table(n: int, rule_masks: list[tuple[int, int]]) -> int:
     """step[m] = m plus the conclusion of every rule whose premises lie in m,
-    packed at `bits` per lane.
+    packed.
 
     Each symbol counts as a rule deriving itself, which supplies the m.
     """
-    return _subset_or(n, [*rule_masks, *((1 << i, 1 << i) for i in range(n))], bits)
+    return _subset_or(n, [*rule_masks, *((1 << i, 1 << i) for i in range(n))])
 
 
 def _fixpoints(images: list[int]) -> list[int]:
@@ -371,7 +356,7 @@ def _fixpoints(images: list[int]) -> list[int]:
     return images
 
 
-def _is_monotone(n: int, t: int, bits: int) -> bool:
+def _is_monotone(n: int, t: int) -> bool:
     """Lane m of `t` lies within lane m + b for every mask m without bit b.
 
     One whole-int test decides all covering pairs at once: the table is its
@@ -379,22 +364,22 @@ def _is_monotone(n: int, t: int, bits: int) -> bool:
     where it started exactly when no step ORed a lane into one above it
     that lacked its bits.
     """
-    return _zeta(n, t, bits) == t
+    return _zeta(n, t) == t
 
 
-def _covering_pairs(law: str, table: OperatorTable, t: int, bits: int) -> LawResult:
-    """The law that lane m of `t`, packed at `bits` per lane, lies within
-    lane m + b on every covering pair of masks of `table`, m ascending,
-    then bit b; `checked` counts the pairs up to the first failure, whose
-    two subsets are the witness.
+def _covering_pairs(law: str, table: OperatorTable, t: int) -> LawResult:
+    """The law that lane m of the packed `t` lies within lane m + b on every
+    covering pair of masks of `table`, m ascending, then bit b; `checked`
+    counts the pairs up to the first failure, whose two subsets are the
+    witness.
 
     `_is_monotone` decides; only when it fails are the pairs walked, to
     count them up to the first failing one.
     """
     n = len(table.universe)
-    if _is_monotone(n, t, bits):
+    if _is_monotone(n, t):
         return LawResult(law, True, None, n * (1 << n) >> 1)
-    values = _unlanes(t, bits, 1 << n)
+    values = _unlanes(t, 1 << n)
     checked = 0
     for m, value in enumerate(values):
         for b in (1 << i for i in range(n) if not m >> i & 1):
@@ -406,10 +391,10 @@ def _covering_pairs(law: str, table: OperatorTable, t: int, bits: int) -> LawRes
 def _agreement(
     law: str, table: OperatorTable, want: int, masks: Iterable[int] | None = None, count: int = 0
 ) -> LawResult:
-    """The law that lane m of `table`'s packing equals lane m of `want`,
-    packed at the same width, for every mask m of `masks`: every mask by
-    default, otherwise the caller's `count` masks in the caller's order,
-    repeats allowed; `checked` is the number of masks.
+    """The law that lane m of `table`'s packing equals lane m of the packed
+    `want` for every mask m of `masks`: every mask by default, otherwise the
+    caller's `count` masks in the caller's order, repeats allowed; `checked`
+    is the number of masks.
 
     The two packings' XOR decides it: zero passes.  `masks` may be lazy:
     it is iterated only when the XOR is nonzero, through a byte per lane of
@@ -419,7 +404,7 @@ def _agreement(
     if masks is None:
         masks, count = range(1 << n), 1 << n
     diff = table._packed ^ want
-    bad = next(filter(_nonzero_lanes(diff, _lane_bits(n), 1 << n).__getitem__, masks), None) if diff else None
+    bad = next(filter(_nonzero_lanes(diff, 1 << n).__getitem__, masks), None) if diff else None
     return LawResult(law, bad is None, None if bad is None else (table.set_of(bad),), count)
 
 
@@ -436,8 +421,7 @@ def tabulate(system: LogicSystem, universe: Iterable[Symbol]) -> OperatorTable:
         raise UniverseIncomplete(f"universe is missing system symbol {min(missing, key=symbol_key).name!r}")
     if outside := set(syms) - system.language.symbols:
         raise LanguageMismatch(f"universe symbol {min(outside, key=symbol_key).name!r} is not in the system's language")
-    bits = _lane_bits(n)
-    step = _unlanes(_step_table(n, _rule_masks(system, syms), bits), bits, 1 << n)
+    step = _unlanes(_step_table(n, _rule_masks(system, syms)), 1 << n)
     return OperatorTable(syms, _fixpoints(step))
 
 
@@ -455,13 +439,12 @@ def _axioms(table: OperatorTable, images: list[int], twice: list[int]) -> LawRep
     """`check_axioms` on a table whose images are the list `images` and
     whose T(T(X)) is the list `twice`."""
     n = len(table.universe)
-    bits = _lane_bits(n)
     packed = table._packed
-    monotone = _covering_pairs("monotonicity", table, packed, bits)
+    monotone = _covering_pairs("monotonicity", table, packed)
     results = [
         # X lies within T(X) exactly when ORing X into every lane changes none
-        _agreement("insertion", table, packed | _identity(n, bits)),
-        _agreement("idempotence", table, packed if twice == images else _lanes(twice, bits)),
+        _agreement("insertion", table, packed | _identity(n)),
+        _agreement("idempotence", table, packed if twice == images else _lanes(twice)),
         monotone,
     ]
 
@@ -471,7 +454,7 @@ def _axioms(table: OperatorTable, images: list[int], twice: list[int]) -> LawRep
     if monotone.passed:
         results.append(LawResult("finitary", True, None, 1 << n))
     else:
-        m = _first_lane(_zeta(n, packed, bits) ^ packed, bits)
+        m = _first_lane(_zeta(n, packed) ^ packed)
         bad = next(z for z in range(m + 1) if z & m == z and images[z] & ~images[m])
         results.append(LawResult("finitary", False, (table.set_of(m), table.set_of(bad)), m + 1))
 
@@ -506,37 +489,33 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     The fixpoints are the one-pass table itself exactly when that table is
     idempotent, which every system that passes the shape check is; the
     sweep `_fixpoints` runs only otherwise, on a system whose shape check
-    was bypassed.  The idempotence row reuses the same T(T(X)).  A system
-    with more than `PREMISE_SET_CAP` distinct premise sets, which only a
-    bypassed shape check admits, raises TooManyPremiseSets.
+    was bypassed.  The idempotence row reuses the same T(T(X)).
+
+    The matched table holds in lane m the union U(m) of the premise sets
+    inside m.  Premise sets are nonempty, so U(m) is nonzero exactly on the
+    matched masks; and the premise sets inside m are among those inside m'
+    exactly when U(m) lies within U(m'), since each of them lies within
+    U(m), hence within m'.  So `matched-count` reads U on covering pairs.
     """
     _require_shape(system.ternary_shape, "ternary")
     syms = _universe(system.symbols, "system uses")
     n = len(syms)
     full = 1 << n
-    bits = _lane_bits(n)
     rule_masks = _rule_masks(system, syms)
-    # matched[m] = bitmask over the distinct premise sets inside m; rules
-    # sharing a premise set match together, so this marks the same masks
-    # matched, and shrinks on the same covering pairs, as one bit per rule
-    premise_sets = dict.fromkeys(pm for pm, _ in rule_masks)
-    if len(premise_sets) > PREMISE_SET_CAP:
-        raise TooManyPremiseSets(f"system has {len(premise_sets)} premise sets; the cap is {PREMISE_SET_CAP}")
-    step = _step_table(n, rule_masks, bits)
-    one_pass = _unlanes(step, bits, full)
+    step = _step_table(n, rule_masks)
+    one_pass = _unlanes(step, full)
     twice = list(map(one_pass.__getitem__, one_pass))
     closed_form = _packed_table(syms, tuple(one_pass), step)
     # when one pass is idempotent, the sweep of `_fixpoints` changes no entry
     engine = closed_form if twice == one_pass else OperatorTable(syms, _fixpoints(one_pass.copy()))
 
-    matched_bits = _lane_bits(len(premise_sets))
-    matched = _subset_or(n, ((pm, 1 << i) for i, pm in enumerate(premise_sets)), matched_bits)
-    is_matched = _nonzero_lanes(matched, matched_bits, full)
+    matched = _subset_or(n, ((pm, pm) for pm, _ in rule_masks))
+    is_matched = _nonzero_lanes(matched, full)
     # X on the unmatched masks and the engine's own lanes on the matched
     # ones, so the XOR with the engine is zero wherever X is not checked
-    lanes = bytearray(bits // 8 * full)
-    lanes[:: bits // 8] = is_matched
-    fixed = _identity(n, bits) | engine._packed & int.from_bytes(lanes, "little") * ((1 << bits) - 1)
+    lanes = bytearray(_BITS // 8 * full)
+    lanes[:: _BITS // 8] = is_matched
+    fixed = _identity(n) | engine._packed & int.from_bytes(lanes, "little") * ((1 << _BITS) - 1)
 
     results = [
         _agreement("no-match-fixed", engine, fixed, compress(range(full), map(not_, is_matched)), is_matched.count(0)),
@@ -544,9 +523,9 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
         # each rule's own premise set closes to itself plus the conclusions
         # of every rule sharing that premise set (several rules may share one)
         _agreement("premise-set-values", engine, step, (pm for pm, _ in rule_masks), len(rule_masks)),
-        # matched premise sets grow with X, with the count bound m <= n
-        # implicit in the representation
-        _covering_pairs("matched-count", engine, matched, matched_bits),
+        # the premise sets inside X grow with X, read as their union; the
+        # count bound m <= n is implicit in the representation
+        _covering_pairs("matched-count", engine, matched),
         _agreement("closed-form-agreement", engine, step),
     ]
     results += (replace(law, law=f"closed-form-{law.law}") for law in _axioms(closed_form, one_pass, twice))

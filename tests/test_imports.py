@@ -4,8 +4,10 @@ A deletion that leaves an import behind fails here.  Stdlib only: each
 module is parsed with `ast`, and a name counts as used when it is read in
 the code, named in a string annotation, or listed in `__all__`.  The same
 reading checks that the parser creates symbols only through
-`make_language`, and that every private function, class and method of the
-package is used somewhere in it.
+`make_language`, that every private function, class and method of the
+package is used somewhere in it, that every error class is raised outside
+`errors.py`, and that `conseq.__all__` lists exactly what `__init__.py`
+imports.
 """
 
 import ast
@@ -16,7 +18,8 @@ import pytest
 
 import conseq
 
-MODULES = sorted(Path(conseq.__file__).parent.glob("*.py"))
+PACKAGE = Path(conseq.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def imported_names(tree):
@@ -72,7 +75,7 @@ def test_module_uses_every_name_it_imports(path):
 def test_the_parser_interns_only_through_make_language():
     # `model._intern` creates every symbol; the parser gets its language
     # from `make_language`, so it lays symbols out as the API does
-    tree = ast.parse((Path(conseq.__file__).parent / "fileformat.py").read_text(encoding="utf-8"))
+    tree = ast.parse((PACKAGE / "fileformat.py").read_text(encoding="utf-8"))
     from_model = [
         alias.name
         for node in ast.walk(tree)
@@ -116,3 +119,35 @@ def test_every_private_helper_is_used():
     assert len(definitions) > 40
     dead = [name for name, node in definitions if uses[node.name] == Counter(references(node))[node.name]]
     assert not dead, f"private helpers never used in the package: {', '.join(dead)}"
+
+
+def raised_names(tree):
+    """The name of the class each `raise X` or `raise X(...)` in `tree`
+    raises, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                yield exc.id if isinstance(exc, ast.Name) else exc.attr
+
+
+def test_every_error_class_is_raised_outside_errors_py():
+    # an error class whose last `raise` is deleted fails here
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    raised = {
+        name
+        for path in MODULES
+        if path.name != "errors.py"
+        for name in raised_names(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert len(classes) > 10
+    never = [name for name in classes if name not in raised]
+    assert not never, f"error classes never raised in the package: {', '.join(never)}"
+
+
+def test_all_lists_exactly_what_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [name for name, _ in imported_names(tree)]
+    assert len(conseq.__all__) == len(set(conseq.__all__))
+    assert sorted(conseq.__all__) == sorted(imported)

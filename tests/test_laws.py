@@ -22,7 +22,6 @@ from conseq import (
     ShapeCheck,
     Sort,
     Symbol,
-    TooManyPremiseSets,
     UniverseIncomplete,
     UniverseMismatch,
     UniverseTooLarge,
@@ -37,7 +36,7 @@ from conseq import (
     verify_closed_form_characterization,
 )
 from conseq import laws
-from conseq.laws import _covering_pairs, _is_monotone, _lane_bits, _lanes, _subset_or, _unlanes
+from conseq.laws import _covering_pairs, _is_monotone, _lanes, _subset_or, _unlanes
 from strategies import chaining_ternary_systems, mixed_ternary_systems, systems
 
 X = Symbol("x", Sort.STANDARD)
@@ -119,14 +118,14 @@ def test_table_names_the_first_image_outside_the_universe(images, mask):
         OperatorTable((X, Y), images)
 
 
-@pytest.mark.parametrize("n", [3, 8, 9])
+@pytest.mark.parametrize("n", [3, 8, 9, 15, 16])
 def test_an_image_reaching_bit_n_is_refused_whatever_its_lane(n):
-    # 2^n fits the 8-bit lane of 3 symbols and the 16-bit lane of 9, and
-    # overflows the 8-bit lane of 8
+    # 2^n fits the 16-bit lane up to 15 symbols, where it sets the lane's
+    # top bit, and overflows it at 16
     images = list(range(1 << n))
     images[5] = 1 << n
     with pytest.raises(ValueError, match="^image of mask 5 leaves the universe$"):
-        OperatorTable(U9[:n], images)
+        OperatorTable(tuple(Symbol(f"u{i:02d}", Sort.STANDARD) for i in range(n)), images)
 
 
 def test_subsets_enumerated_in_bitmask_order():
@@ -559,19 +558,42 @@ def pair_system(n_pairs):
     return system
 
 
-def test_characterization_refuses_more_than_64_premise_sets_before_packing():
-    # the matched table holds one bit per premise set in a lane of at most
-    # 64 bits; the count is checked before any table is built
-    with mock.patch.object(laws, "_subset_or", side_effect=AssertionError("packed")):
-        with pytest.raises(TooManyPremiseSets) as info:
-            verify_closed_form_characterization(pair_system(65))
-    assert str(info.value) == "system has 65 premise sets; the cap is 64"
-    report = verify_closed_form_characterization(pair_system(64))
-    assert report.ok and result_by_law(report, "premise-set-values").checked == 64
+def test_characterization_reports_on_all_66_premise_sets_of_a_bypassed_system():
+    # the matched table holds the union of the premise sets inside each
+    # mask, so any number of premise sets fits its lane
+    system = pair_system(66)
+    report = verify_closed_form_characterization(system)
+    by_law = {r.law: r for r in report}
+    assert report.ok and by_law["premise-set-values"].checked == 66
+    # a subset is matched when it holds some pair
+    subsets = all_subsets(sorted(system.symbols, key=lambda s: s.name))
+    matched = sum(any(r.premise_set <= x for r in system.rules) for x in subsets)
+    assert by_law["match-union"].checked == matched
+    assert by_law["no-match-fixed"].checked == len(subsets) - matched
 
 
-# value widths that cross every lane typecode (8, 16, 32 and 64 bits)
-WIDTHS = [0, 8, 9, 16, 17, 33, 64]
+@st.composite
+def premise_set_lists(draw):
+    """n <= 6 and a list of nonempty premise sets over n symbols, as masks."""
+    n = draw(st.integers(1, 6))
+    return n, draw(st.lists(st.integers(1, (1 << n) - 1), max_size=8))
+
+
+@settings(max_examples=50)
+@given(premise_set_lists())
+def test_union_of_matched_premise_sets_orders_masks_as_the_matched_sets_do(case):
+    # M(m), the premise sets inside m, lies within M(m') exactly when their
+    # union U(m) lies within U(m'); U(m) is nonzero exactly when M(m) is
+    n, premise_sets = case
+    union = _unlanes(_subset_or(n, ((p, p) for p in premise_sets)), 1 << n)
+    inside = [{p for p in premise_sets if p & m == p} for m in range(1 << n)]
+    assert [bool(u) for u in union] == [bool(ps) for ps in inside]
+    for m, m2 in itertools.product(range(1 << n), repeat=2):
+        assert (inside[m] <= inside[m2]) == (union[m] & ~union[m2] == 0)
+
+
+# value widths inside the one 16-bit lane, up to its top bit, bit 15
+WIDTHS = [0, 1, 8, 9, 15, 16]
 
 
 @st.composite
@@ -599,18 +621,9 @@ def subset_or_by_definition(n, pairs):
     ]
 
 
-def packed(values):
-    """`values` packed at the narrowest lane that holds the widest one, and
-    that lane width."""
-    bits = _lane_bits(max(values, default=0).bit_length())
-    return _lanes(values, bits), bits
-
-
 def subset_or(n, pairs):
-    """`_subset_or` unpacked, at the lane width of its widest value."""
-    pairs = list(pairs)
-    bits = _lane_bits(max((v for _, v in pairs), default=0).bit_length())
-    return _unlanes(_subset_or(n, pairs, bits), bits, 1 << n)
+    """`_subset_or` unpacked."""
+    return _unlanes(_subset_or(n, pairs), 1 << n)
 
 
 def covering_pairs_of(n):
@@ -621,7 +634,7 @@ def covering_verdict(n, values):
     """`_covering_pairs` on `values` over a table of n symbols, as (pairs
     checked, the failing pair of masks or None)."""
     table = OperatorTable(tuple(Symbol(f"u{i}", Sort.STANDARD) for i in range(n)), range(1 << n))
-    result = _covering_pairs("law", table, *packed(values))
+    result = _covering_pairs("law", table, _lanes(values))
     pair = result.witness and tuple(map(table.mask_of, result.witness))
     assert result.law == "law" and result.passed == (pair is None)
     return result.checked, pair
@@ -635,7 +648,7 @@ def test_subset_transform_matches_its_definition(case):
     # inflationary on its seeds, monotone, and equal to its own union
     assert all(out[k] & v == v for k, v in pairs)
     assert all(out[m] & ~out[w] == 0 for m, w in covering_pairs_of(n))
-    assert _is_monotone(n, *packed(out))
+    assert _is_monotone(n, _lanes(out))
     assert subset_or(n, enumerate(out)) == out
 
 
@@ -663,7 +676,7 @@ def test_lane_monotonicity_test_matches_its_definition(case):
     n, values = case
     pairs = covering_pairs_of(n)
     bad = [i for i, (m, w) in enumerate(pairs) if values[m] & ~values[w]]
-    assert _is_monotone(n, *packed(values)) == (not bad)
+    assert _is_monotone(n, _lanes(values)) == (not bad)
     assert covering_verdict(n, values) == ((bad[0] + 1, pairs[bad[0]]) if bad else (len(pairs), None))
 
 
@@ -676,10 +689,10 @@ def test_lane_monotonicity_test_reads_the_top_bit_of_every_width(n, width):
     values = [1 << (width - 1)] * (full - 1) + [0]
     pairs = covering_pairs_of(n)
     first = next(i for i, (m, w) in enumerate(pairs) if values[m] & ~values[w])
-    assert not _is_monotone(n, *packed(values))
+    assert not _is_monotone(n, _lanes(values))
     assert covering_verdict(n, values) == (first + 1, pairs[first])
     values[-1] = values[0]
-    assert _is_monotone(n, *packed(values))
+    assert _is_monotone(n, _lanes(values))
 
 
 def law_rows(n, images):
@@ -734,8 +747,8 @@ def test_only_failure_on_the_top_bit_at_its_last_pair(n, checked):
 
 
 def test_characterization_on_sixteen_symbols_with_150_rules():
-    # every (a, l, b) triple: 150 rules share 25 premise sets, so matched
-    # holds 25 bits per lane while premise-set-values walks all 150 rules
+    # every (a, l, b) triple: 150 rules share 25 premise sets, whose unions
+    # the matched table holds, while premise-set-values walks all 150 rules
     lang = make_language([f"a{i}" for i in range(5)] + [f"b{i}" for i in range(6)], [f"l{i}" for i in range(5)])
     triples = [((f"a{a}", f"l{l}"), f"b{b}") for a in range(5) for l in range(5) for b in range(6)]
     system = make_system(lang, triples)
@@ -756,7 +769,8 @@ def test_characterization_on_sixteen_symbols_with_150_rules():
 
 def test_characterization_at_the_widest_matched_lane():
     # 7 a times 8 l is the most premise sets 16 symbols allow (one symbol is
-    # left for the conclusion): matched holds 56 bits in 64-bit lanes
+    # left for the conclusion): the matched lanes hold their unions, up to
+    # all 15 premise symbols
     lang = make_language([f"a{i}" for i in range(7)] + ["b0"], [f"l{i}" for i in range(8)])
     system = make_system(lang, [((f"a{a}", f"l{l}"), "b0") for a in range(7) for l in range(8)])
     rows = [(r.law, r.passed, r.checked, r.witness) for r in verify_closed_form_characterization(system)]

@@ -114,6 +114,9 @@ SITES = {
         "symbol 'y' in nonstandard part has sort standard",
     ),
     "influence-weight": (lambda: InfluenceWeight(X, -1), "multiplicity cannot be negative"),
+    # the type is checked before the sign, which a str cannot be compared for
+    "influence-weight-str": (lambda: InfluenceWeight(X, "3"), "multiplicity is not an int: '3'"),
+    "influence-weight-float": (lambda: InfluenceWeight(X, 1.5), "multiplicity is not an int: 1.5"),
     "system-item": (
         lambda: LogicSystem(Language(frozenset({X, Y}), frozenset()), [Rule((X,), Y), "x => y"]),
         "item 'x => y' is not a Rule",
