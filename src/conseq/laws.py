@@ -27,22 +27,24 @@ The finitary union, the union of the premise sets a mask matches, and the
 conclusions a system fires from a mask are all ORs over the keys inside
 the mask; one subset (zeta) transform, `_zeta`, computes each for every mask at once
 (`_subset_or`), each of its n steps one whole-int expression that the
-big-int code runs over all 2^n lanes.  A table's closures then follow from
-its one-pass table in a single sweep (`_fixpoints`), one Python loop over
-every mask, which `tabulate` runs.  Verify runs it only when the one-pass
-table is not idempotent: when T(T(X)) = T(X) everywhere, the sweep changes
-no entry, so the one-pass table is the engine's table.  A passing verify
-therefore runs no Python loop over the masks.
+big-int code runs over all 2^n lanes.  `tabulate` then finds a system's
+closures from its one-pass table in a single top-down sweep, one Python
+loop over every mask.  Verify reads two tables, the one-pass table and
+the engine's, and builds the engine's with `tabulate` only when the
+one-pass table is not idempotent: when T(T(X)) = T(X) everywhere, the
+sweep changes no entry, so the one-pass table is the engine's table.  A
+passing verify therefore runs no Python loop over the masks.
 
 Each law is decided by one whole-table test.  Insertion, idempotence,
 `equivalent`, and verify's rows that compare the engine's table with the
-one-pass table (on every mask, on the matched masks, or on each rule's
-premise set) or with X itself (on the unmatched masks) are one agreement
-check (`_agreement`): a table equals wanted values on a list of masks
-when the XOR of the two packings is zero there, and `checked` is the
-number of masks.  Verify counts its unmatched and matched masks on the
-matched table and hands over the mask lists unbuilt; they are built only
-when the XOR is nonzero, to find the first witness.  For insertion the
+one-pass table (on every mask, on the matched or the unmatched masks, or
+on each rule's premise set; the one-pass table is X on the unmatched
+masks) are one agreement check (`_agreement`): a table equals wanted
+values on a list of masks when the XOR of the two packings is zero
+there, and `checked` is the number of masks.  Verify counts its
+unmatched and matched masks on the matched table and hands over the mask
+lists unbuilt; they are built only when the XOR is nonzero, to find the
+first witness.  For insertion the
 wanted table is the packing ORed with the identity (`_identity`, lane m
 holding m); for idempotence it is T(T(X)), the one per-mask lookup, a
 `map` over a list that verify computes once for the one-pass table and
@@ -344,18 +346,6 @@ def _step_table(n: int, rule_masks: list[tuple[int, int]]) -> int:
     return _subset_or(n, [*rule_masks, *((1 << i, 1 << i) for i in range(n))])
 
 
-def _fixpoints(images: list[int]) -> list[int]:
-    """The least fixpoint of the step above every mask, in place of the
-    step table `images`.
-
-    Iterating the step from m passes through step[m], which is m itself or
-    a larger mask, so the fixpoints settle in one pass from the top down.
-    """
-    for m in reversed(range(len(images))):
-        images[m] = images[images[m]]
-    return images
-
-
 def _is_monotone(n: int, t: int) -> bool:
     """Lane m of `t` lies within lane m + b for every mask m without bit b.
 
@@ -421,8 +411,12 @@ def tabulate(system: LogicSystem, universe: Iterable[Symbol]) -> OperatorTable:
         raise UniverseIncomplete(f"universe is missing system symbol {min(missing, key=symbol_key).name!r}")
     if outside := set(syms) - system.language.symbols:
         raise LanguageMismatch(f"universe symbol {min(outside, key=symbol_key).name!r} is not in the system's language")
-    step = _unlanes(_step_table(n, _rule_masks(system, syms)), 1 << n)
-    return OperatorTable(syms, _fixpoints(step))
+    images = _unlanes(_step_table(n, _rule_masks(system, syms)), 1 << n)
+    # iterating the step from m passes through step[m], which is m itself
+    # or a larger mask, so the closures settle in one sweep from the top down
+    for m in reversed(range(1 << n)):
+        images[m] = images[images[m]]
+    return OperatorTable(syms, images)
 
 
 def check_axioms(table: OperatorTable) -> LawReport:
@@ -481,15 +475,17 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
 
     Reverse: the one-pass table (X plus the conclusions fired from X) must
     satisfy the four closure-operator laws and equal the engine's table.
-    The engine's table is the fixpoints of that same one-pass table, so the
-    equality says that one pass is already a fixpoint, which is the
-    theorem's content.  That the engine's table matches the plain rule scan
-    of `close_naive` is checked by the tests, not here.
+    The engine's table is `tabulate`'s, the fixpoints of that same one-pass
+    table, so the equality says that one pass is already a fixpoint, which
+    is the theorem's content.  That the engine's table matches the plain
+    rule scan of `close_naive` is checked by the tests, not here.
 
     The fixpoints are the one-pass table itself exactly when that table is
-    idempotent, which every system that passes the shape check is; the
-    sweep `_fixpoints` runs only otherwise, on a system whose shape check
-    was bypassed.  The idempotence row reuses the same T(T(X)).
+    idempotent, which every system that passes the shape check is;
+    `tabulate` runs only otherwise, on a system whose shape check was
+    bypassed.  The idempotence row reuses the same T(T(X)).  Every row that
+    compares the engine's table reads the one-pass table as the wanted
+    values; on an unmatched mask nothing fires, so there it is X.
 
     The matched table holds in lane m the union U(m) of the premise sets
     inside m.  Premise sets are nonempty, so U(m) is nonzero exactly on the
@@ -506,19 +502,14 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     one_pass = _unlanes(step, full)
     twice = list(map(one_pass.__getitem__, one_pass))
     closed_form = _packed_table(syms, tuple(one_pass), step)
-    # when one pass is idempotent, the sweep of `_fixpoints` changes no entry
-    engine = closed_form if twice == one_pass else OperatorTable(syms, _fixpoints(one_pass.copy()))
+    # when one pass is idempotent, `tabulate`'s sweep changes no entry
+    engine = closed_form if twice == one_pass else tabulate(system, syms)
 
     matched = _subset_or(n, ((pm, pm) for pm, _ in rule_masks))
     is_matched = _nonzero_lanes(matched, full)
-    # X on the unmatched masks and the engine's own lanes on the matched
-    # ones, so the XOR with the engine is zero wherever X is not checked
-    lanes = bytearray(_BITS // 8 * full)
-    lanes[:: _BITS // 8] = is_matched
-    fixed = _identity(n) | engine._packed & int.from_bytes(lanes, "little") * ((1 << _BITS) - 1)
-
     results = [
-        _agreement("no-match-fixed", engine, fixed, compress(range(full), map(not_, is_matched)), is_matched.count(0)),
+        # nothing fires from an unmatched mask, so the one-pass table is X there
+        _agreement("no-match-fixed", engine, step, compress(range(full), map(not_, is_matched)), is_matched.count(0)),
         _agreement("match-union", engine, step, compress(range(full), is_matched), is_matched.count(1)),
         # each rule's own premise set closes to itself plus the conclusions
         # of every rule sharing that premise set (several rules may share one)

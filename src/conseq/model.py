@@ -467,7 +467,11 @@ def make_language(
 
     Each part's names are checked with one regex match over them all and
     interned in name order under one lock (`_intern`); a bad name raises
-    BadIdentifier, naming the first one in iteration order."""
+    BadIdentifier, naming the first one in iteration order, and a part
+    given as one string (not a collection of names) InvalidValue."""
+    for part, names in (("standard", standard_names), ("nonstandard", nonstandard_names)):
+        if isinstance(names, str):
+            raise InvalidValue(f"{part} names {names!r} are a string, not a collection of names")
     std = frozenset(_intern(list(standard_names), _STANDARD))
     return Language(std, frozenset(_intern(list(nonstandard_names), _NONSTANDARD)))
 
@@ -478,13 +482,18 @@ def make_system(
 ) -> LogicSystem:
     """Build a system from (premise-names, conclusion-name) tuples.
 
-    Duplicate tuples collapse; unknown names raise UnknownSymbol, premises
-    given as one string (not a sequence of names) InvalidValue, an empty
-    premise sequence NullaryRule (from `Rule`) and an empty list EmptySystem
-    (from `LogicSystem`).
+    Duplicate tuples collapse; unknown names raise UnknownSymbol, an item
+    that is not a (premises, conclusion) pair or premises given as one
+    string (not a sequence of names) InvalidValue, an empty premise
+    sequence NullaryRule (from `Rule`) and an empty list EmptySystem (from
+    `LogicSystem`).
     """
     rules = []
-    for premise_names, conclusion_name in rule_tuples:
+    for item in rule_tuples:
+        try:
+            premise_names, conclusion_name = item
+        except (TypeError, ValueError):
+            raise InvalidValue(f"item {item!r} is not a (premises, conclusion) pair") from None
         if isinstance(premise_names, str):
             raise InvalidValue(f"premises {premise_names!r} are a string, not a sequence of names")
         rules.append(Rule(tuple(map(language.resolve, premise_names)), language.resolve(conclusion_name)))

@@ -8,7 +8,12 @@ witness is re-checked against the table it came from.
 
 import functools
 import itertools
+import json
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -36,7 +41,7 @@ from conseq import (
     verify_closed_form_characterization,
 )
 from conseq import laws
-from conseq.laws import _covering_pairs, _is_monotone, _lanes, _subset_or, _unlanes
+from conseq.laws import _covering_pairs, _is_monotone, _lanes, _step_table, _subset_or, _unlanes
 from strategies import chaining_ternary_systems, mixed_ternary_systems, systems
 
 X = Symbol("x", Sort.STANDARD)
@@ -479,13 +484,14 @@ def test_matched_counts_monotone_and_bounded(system):
 
 
 def verify_with_engine(system):
-    """verify's report, and the engine table that its rows compare the
-    one-pass table and X with, taken from its calls to `_agreement`."""
+    """verify's report, and the engine table that its rows compare with the
+    one-pass table, taken from its calls to `_agreement`."""
     with mock.patch.object(laws, "_agreement", wraps=laws._agreement) as spy:
         report = verify_closed_form_characterization(system)
-    tables = {c.args[0]: c.args[1] for c in spy.call_args_list}
-    engine = tables["closed-form-agreement"]
-    assert all(tables[law] is engine for law in ("no-match-fixed", "match-union", "premise-set-values"))
+    tables = {c.args[0]: c.args[1:3] for c in spy.call_args_list}
+    engine, one_pass = tables["closed-form-agreement"]
+    for law in "no-match-fixed", "match-union", "premise-set-values":
+        assert tables[law][0] is engine and tables[law][1] == one_pass
     return report, engine
 
 
@@ -544,6 +550,8 @@ def test_failing_rows_on_chaining_systems_name_witnesses_that_break_their_law(sy
     assert engine.images == tabulate(system, engine.universe).images
     one_pass_is_closure = all(close(system, x) == step(system, x) for x in all_subsets(engine.universe))
     assert result_by_law(report, "closed-form-agreement").passed == one_pass_is_closure
+    # close(X) is X when no premise set lies inside X, chaining or not
+    assert result_by_law(report, "no-match-fixed").passed
     for row in report.failures:
         assert breaks(system, row.law, row.witness), str(row)
 
@@ -590,6 +598,18 @@ def test_union_of_matched_premise_sets_orders_masks_as_the_matched_sets_do(case)
     assert [bool(u) for u in union] == [bool(ps) for ps in inside]
     for m, m2 in itertools.product(range(1 << n), repeat=2):
         assert (inside[m] <= inside[m2]) == (union[m] & ~union[m2] == 0)
+
+
+@settings(max_examples=50)
+@given(premise_set_lists(), st.data())
+def test_step_table_is_the_identity_on_masks_that_match_no_premise_set(case, data):
+    # verify's no-match-fixed row reads the one-pass table as X on these masks
+    n, premise_sets = case
+    rule_masks = [(p, 1 << data.draw(st.integers(0, n - 1))) for p in premise_sets]
+    one_pass = _unlanes(_step_table(n, rule_masks), 1 << n)
+    for m in range(1 << n):
+        if not any(p & m == p for p in premise_sets):
+            assert one_pass[m] == m
 
 
 # value widths inside the one 16-bit lane, up to its top bit, bit 15
@@ -786,3 +806,23 @@ def test_characterization_at_the_widest_matched_lane():
         ("closed-form-monotonicity", True, 16 << 15, None),
         ("closed-form-finitary", True, 65536, None),
     ]
+
+
+def test_law_corpus_rows_do_not_depend_on_the_hash_seed():
+    # a slice of tests/laws_corpus.py: every check_axioms, equivalent and
+    # verify row, bypassed systems with failing rows included
+    src = str(Path(laws.__file__).resolve().parents[1])
+    script = Path(__file__).with_name("laws_corpus.py")
+    outputs = []
+    for seed in "0", "7":
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, str(script), "--rounds", "2"], env=env, capture_output=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    rows = [json.loads(row) for row in outputs[0].splitlines()]
+    assert {row["call"] for row in rows} == {"check_axioms", "equivalent", "verify"}
+    assert any(row["case"].startswith("bypassed") and not row["passed"] for row in rows)

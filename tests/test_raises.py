@@ -29,6 +29,8 @@ from conseq import (
     Sort,
     Symbol,
     chain_system,
+    make_language,
+    make_system,
 )
 
 MODULES = sorted(Path(conseq.__file__).parent.glob("*.py"))
@@ -81,6 +83,7 @@ def test_module_raises_only_conseq_errors(path):
 X = Symbol("x", Sort.STANDARD)
 Y = Symbol("y", Sort.STANDARD)
 L = Symbol("l", Sort.NONSTANDARD)
+LA1 = make_language(["a1", "b1", "c1"], [])
 
 SITES = {
     "table-distinct": (lambda: OperatorTable((X, X), (0, 1, 2, 3)), "universe symbols must be distinct"),
@@ -121,6 +124,21 @@ SITES = {
         lambda: LogicSystem(Language(frozenset({X, Y}), frozenset()), [Rule((X,), Y), "x => y"]),
         "item 'x => y' is not a Rule",
     ),
+    # one string would split into the one-character names 'a' and '1'
+    "language-standard-str": (
+        lambda: make_language("a1", []),
+        "standard names 'a1' are a string, not a collection of names",
+    ),
+    "language-nonstandard-str": (
+        lambda: make_language([], "l1"),
+        "nonstandard names 'l1' are a string, not a collection of names",
+    ),
+    "make-system-one-item": (lambda: make_system(LA1, [("a1",)]), "item ('a1',) is not a (premises, conclusion) pair"),
+    "make-system-three-items": (
+        lambda: make_system(LA1, [("a1", "b1", "c1")]),
+        "item ('a1', 'b1', 'c1') is not a (premises, conclusion) pair",
+    ),
+    "make-system-none": (lambda: make_system(LA1, [None]), "item None is not a (premises, conclusion) pair"),
 }
 
 
