@@ -39,9 +39,10 @@ Each law is decided by one whole-table test.  Insertion, idempotence,
 `equivalent`, and verify's rows that compare the engine's table with the
 one-pass table (on every mask, on the matched or the unmatched masks, or
 on each rule's premise set; the one-pass table is X on the unmatched
-masks) are one agreement check (`_agreement`): a table equals wanted
-values on a list of masks when the XOR of the two packings is zero
-there, and `checked` is the number of masks.  Verify counts its
+masks, which the tests check of `_step_table`) are one agreement check
+(`_agreement`): a table equals wanted values on a list of masks when the
+XOR of the two packings is zero there, and `checked` is the number of
+masks.  Verify counts its
 unmatched and matched masks on the matched table and hands over the mask
 lists unbuilt; they are built only when the XOR is nonzero, to find the
 first witness.  For insertion the
@@ -485,7 +486,10 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     `tabulate` runs only otherwise, on a system whose shape check was
     bypassed.  The idempotence row reuses the same T(T(X)).  Every row that
     compares the engine's table reads the one-pass table as the wanted
-    values; on an unmatched mask nothing fires, so there it is X.
+    values, so on an idempotent one-pass table the four comparing rows hold
+    by construction and check nothing at run time.  `no-match-fixed` takes
+    from `_step_table` that the one-pass table is X on an unmatched mask,
+    where nothing fires; the tests check that, verify does not.
 
     The matched table holds in lane m the union U(m) of the premise sets
     inside m.  Premise sets are nonempty, so U(m) is nonzero exactly on the

@@ -547,8 +547,10 @@ def test_failing_rows_on_chaining_systems_name_witnesses_that_break_their_law(sy
     # table, which only a chaining system makes differ from it
     vars(system)["ternary_shape"] = ShapeCheck(True)
     report, engine = verify_with_engine(system)
-    assert engine.images == tabulate(system, engine.universe).images
-    one_pass_is_closure = all(close(system, x) == step(system, x) for x in all_subsets(engine.universe))
+    # the plain rule scan, not tabulate: the engine may be tabulate's table
+    subsets = all_subsets(engine.universe)
+    assert all(engine.image(x) == close_naive(system, x) for x in subsets)
+    one_pass_is_closure = all(close(system, x) == step(system, x) for x in subsets)
     assert result_by_law(report, "closed-form-agreement").passed == one_pass_is_closure
     # close(X) is X when no premise set lies inside X, chaining or not
     assert result_by_law(report, "no-match-fixed").passed
