@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DuplicateElement, LanguageMismatch, TooShort
-from .model import Language, LogicSystem, Rule, Sort, Symbol, _require_shape, _require_symbols, symbol_key
+from .model import Language, LogicSystem, Sort, Symbol, _require_shape, _require_symbols, symbol_key
 
 # Deduction sets are plain frozensets of symbols over the system's language;
 # mixing sorts is fine.
@@ -158,5 +158,7 @@ def chain_system(elements: Sequence[Symbol]) -> LogicSystem:
     except (AttributeError, TypeError):  # an element that is not a symbol
         _require_symbols(elems)
         raise
-    rules = tuple(Rule((a,), b) for a, b in zip(elems, elems[1:]))
-    return LogicSystem(Language(standard, frozenset(elems) - standard), rules)
+    language = Language(standard, frozenset(elems) - standard)
+    ids = tuple(map(language._numbering[1].__getitem__, elems))
+    # the elements are distinct, so every link is a distinct rule
+    return LogicSystem._from_keys(language, {(1, a, b): i for i, (a, b) in enumerate(zip(ids, ids[1:]))})

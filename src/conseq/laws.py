@@ -75,7 +75,7 @@ from .errors import (
     UniverseTooLarge,
 )
 from .fileformat import render_set
-from .model import LogicSystem, Symbol, _require_shape, _require_symbols, symbol_key
+from .model import LogicSystem, Symbol, _require_shape, _require_symbols, _tuple_of, symbol_key
 
 UNIVERSE_CAP = 16
 
@@ -101,7 +101,8 @@ class OperatorTable:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "universe", _tuple_of(self.universe, "universe"))
+        object.__setattr__(self, "images", _tuple_of(self.images, "images"))
         n = len(self.universe)
         if n > UNIVERSE_CAP:
             raise UniverseTooLarge(f"universe has {n} symbols; the cap is {UNIVERSE_CAP}")

@@ -21,7 +21,9 @@ gives them.  `Symbol` is not a dataclass: `dataclasses.fields` and
 Everything here is immutable after construction and safe to share between
 threads.  Building a `LogicSystem` compiles it once to integer symbol and
 rule ids, in time linear in the rules plus one sort; one `_compile` serves
-both the public constructor and the parser, see its docstring.
+every way of building one (the public constructor, `make_system`,
+`chain_system` and the parser), and builds every rule a system holds from
+its compiled key, see the `LogicSystem` docstring.
 
 The two shapes whose closure is a single rule pass, mixed ternary
 (standard nonstandard => standard) and mixed binary (nonstandard =>
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadIdentifier,
@@ -93,7 +95,7 @@ def _interned(name: str, sort: Sort) -> Symbol | None:
     return ref and ref()
 
 
-def _first_bad_name(names: list) -> int | None:
+def _first_bad_name(names: Sequence[str]) -> int | None:
     """Index of the first of `names` that is not an identifier string, or
     None.  One regex match over the joined names decides the common case;
     only a failure walks the names to find the bad one."""
@@ -150,7 +152,7 @@ class Symbol:
 _SET_NAME, _SET_SORT = Symbol.name.__set__, Symbol.sort.__set__
 
 
-def _intern(names: list, sort: Sort) -> list[Symbol]:
+def _intern(names: Sequence[str], sort: Sort) -> list[Symbol]:
     """The symbols of `names`, sorted by name, creating each that has no
     live one; the one function that creates symbols.
 
@@ -189,6 +191,25 @@ def _require_symbols(members: Iterable[object]) -> None:
     a `Symbol`."""
     if odd := sorted(repr(m) for m in members if not isinstance(m, Symbol)):
         raise LanguageMismatch(f"member {odd[0]} is not a Symbol")
+
+
+def _iter_of(values: Iterable, argument: str) -> Iterator:
+    """An iterator over `values`; InvalidValue naming `argument` when they
+    are not iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise InvalidValue(f"argument {argument} is not iterable: {values!r}") from None
+
+
+def _tuple_of(values: Iterable, argument: str) -> tuple:
+    """`values` as a tuple; only once `tuple` has failed, `_iter_of` checks
+    whether they are iterable at all."""
+    try:
+        return tuple(values)
+    except TypeError:
+        _iter_of(values, argument)
+        raise
 
 
 def symbol_key(s: Symbol) -> tuple[str, str]:
@@ -331,12 +352,15 @@ class LogicSystem:
     use, sharing the tuples of `_premise_rules`, and `first_premise_index`
     one built on the first one-pass query.
 
-    One `_compile` builds all of this from the keys, and it has two front
-    ends.  `LogicSystem(language, rules)` keys the caller's `Rule` objects
-    and keeps them.  The parser (`fileformat.parse_system`) keys the names
-    it read with `_name_keys` and compiles them with `_from_keys`, which
-    builds a `Rule` only for each kept key, so a parse makes no `Rule` per
-    input line.  Both number the symbols by `Language._numbering`.
+    One `_compile` builds all of this from the keys, `rules` too: each kept
+    rule is built from its key, so a system holds its own `Rule` objects,
+    equal to the caller's but not the same objects.  Every front end numbers
+    the symbols by `Language._numbering`.  `LogicSystem(language, rules)`
+    keys the caller's `Rule` objects.  The others key what they were given
+    and compile it with `_from_keys`, so they make no `Rule` per input
+    item: the parser (`fileformat.parse_system`) keys the names it read
+    with `_name_keys`, `make_system` the names it was given and
+    `closure.chain_system` its consecutive elements.
     """
 
     language: Language
@@ -344,9 +368,8 @@ class LogicSystem:
 
     def __post_init__(self):
         ids = self.language._numbering[1]
-        rules = tuple(self.rules)  # any iterable, read once
         keyed: dict[tuple[int, ...], int] = {}  # key -> input index of its first rule
-        for i, rule in enumerate(rules):
+        for i, rule in enumerate(_iter_of(self.rules, "rules")):  # read once
             try:
                 key = (len(rule.premises), *map(ids.__getitem__, rule.premises), ids[rule.conclusion])
             except (AttributeError, KeyError, TypeError) as e:
@@ -355,7 +378,7 @@ class LogicSystem:
                 _require_symbols((*rule.premises, rule.conclusion))
                 raise UnknownSymbol(f"rule ({rule}) uses symbol {e.args[0].name!r} not in the language") from None
             keyed.setdefault(key, i)
-        self._compile(keyed, rules)
+        self._compile(keyed)
 
     @staticmethod
     def _name_keys(language: Language, rule_names: Iterable[Sequence[str]]) -> dict[tuple[int, ...], int]:
@@ -373,17 +396,19 @@ class LogicSystem:
 
     @classmethod
     def _from_keys(cls, language: Language, keyed: dict[tuple[int, ...], int]) -> LogicSystem:
-        """The system of the keys from `_name_keys`; only the kept rules
-        become `Rule` objects."""
+        """The system of `keyed`, each distinct rule's key (premise count,
+        premise ids, conclusion id over `language._numbering`) mapped to the
+        input index of its first occurrence, as `_name_keys` returns them.
+        The keys are trusted; only the kept rules become `Rule` objects."""
         system = object.__new__(cls)
         object.__setattr__(system, "language", language)
-        system._compile(keyed, None)
+        system._compile(keyed)
         return system
 
-    def _compile(self, keyed: dict[tuple[int, ...], int], rules: tuple[Rule, ...] | None) -> None:
-        """Compile the keys, over `language._numbering`; take each kept rule
-        from `rules` by its input index, or build it from its key when
-        `rules` is None."""
+    def _compile(self, keyed: dict[tuple[int, ...], int]) -> None:
+        """Compile the keys, over `language._numbering`, and build each kept
+        rule from its key: a system holds its own `Rule` objects, whichever
+        front end keyed it."""
         symbols, ids = self.language._numbering
         if not keyed:
             raise EmptySystem("a logic system needs at least one rule")
@@ -405,12 +430,8 @@ class LogicSystem:
         put(self, "_symbols", symbols)
         put(self, "_ids", ids)
         put(self, "_of_sort", {sort: bytes(s.sort is sort for s in symbols) for sort in Sort})
-        if rules is None:
-            at = symbols.__getitem__
-            rules = tuple(_trusted_rule(tuple(map(at, k[1:-1])), at(k[-1])) for k in keys)
-        else:
-            rules = tuple(map(rules.__getitem__, self._sources))
-        put(self, "rules", rules)
+        at = symbols.__getitem__
+        put(self, "rules", tuple(_trusted_rule(tuple(map(at, k[1:-1])), at(k[-1])) for k in keys))
 
     @cached_property
     def symbols(self) -> frozenset[Symbol]:
@@ -468,12 +489,13 @@ def make_language(
     Each part's names are checked with one regex match over them all and
     interned in name order under one lock (`_intern`); a bad name raises
     BadIdentifier, naming the first one in iteration order, and a part
-    given as one string (not a collection of names) InvalidValue."""
+    given as one string or bytes (not a collection of names), or not
+    iterable at all, InvalidValue."""
     for part, names in (("standard", standard_names), ("nonstandard", nonstandard_names)):
-        if isinstance(names, str):
+        if isinstance(names, (str, bytes)):
             raise InvalidValue(f"{part} names {names!r} are a string, not a collection of names")
-    std = frozenset(_intern(list(standard_names), _STANDARD))
-    return Language(std, frozenset(_intern(list(nonstandard_names), _NONSTANDARD)))
+    std = frozenset(_intern(_tuple_of(standard_names, "standard_names"), _STANDARD))
+    return Language(std, frozenset(_intern(_tuple_of(nonstandard_names, "nonstandard_names"), _NONSTANDARD)))
 
 
 def make_system(
@@ -482,22 +504,38 @@ def make_system(
 ) -> LogicSystem:
     """Build a system from (premise-names, conclusion-name) tuples.
 
-    Duplicate tuples collapse; unknown names raise UnknownSymbol, an item
-    that is not a (premises, conclusion) pair or premises given as one
-    string (not a sequence of names) InvalidValue, an empty premise
-    sequence NullaryRule (from `Rule`) and an empty list EmptySystem (from
-    `LogicSystem`).
+    Duplicate tuples collapse; unknown names raise UnknownSymbol, tuples
+    that are not iterable, an item that is not a (premises, conclusion)
+    pair or premises given as one string or bytes (or not iterable at all)
+    InvalidValue, an empty premise sequence NullaryRule and an empty list
+    EmptySystem.  Each item's names become a key of symbol ids, as the
+    parser's do in `LogicSystem._name_keys`, and `LogicSystem._from_keys`
+    compiles the keys, so no `Rule` is built per item.
     """
-    rules = []
-    for item in rule_tuples:
+    symbols, ids = language._numbering
+    id_of = dict(zip(map(attrgetter("name"), symbols), ids.values())).__getitem__
+    keyed: dict[tuple[int, ...], int] = {}  # key -> index of its first item
+    for i, item in enumerate(_iter_of(rule_tuples, "rule_tuples")):
         try:
             premise_names, conclusion_name = item
         except (TypeError, ValueError):
             raise InvalidValue(f"item {item!r} is not a (premises, conclusion) pair") from None
-        if isinstance(premise_names, str):
+        if isinstance(premise_names, (str, bytes)):
             raise InvalidValue(f"premises {premise_names!r} are a string, not a sequence of names")
-        rules.append(Rule(tuple(map(language.resolve, premise_names)), language.resolve(conclusion_name)))
-    return LogicSystem(language, rules)
+        try:
+            names = (*premise_names, conclusion_name)
+        except TypeError:
+            raise InvalidValue(f"premises {premise_names!r} are not a sequence of names") from None
+        try:
+            key = (len(names) - 1, *map(id_of, names))
+        except (KeyError, TypeError):  # a name of no symbol here, which `resolve` reports
+            for name in names:
+                language.resolve(name)
+            raise
+        if len(key) == 2:
+            raise NullaryRule(f"rule concluding {symbols[key[-1]].name!r} has no premises")
+        keyed.setdefault(key, i)
+    return LogicSystem._from_keys(language, keyed)
 
 
 @dataclass(frozen=True)

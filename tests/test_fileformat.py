@@ -5,6 +5,7 @@ bytes must never raise anything outside the package's error hierarchy.
 """
 
 import gc
+import operator
 import random
 import threading
 
@@ -109,6 +110,14 @@ def test_parse_builds_one_rule_per_distinct_rule(monkeypatch):
     doc = parse_system("standard: a1 b1\nnonstandard: l1\n" + "\n".join(rules * 5))
     assert len(doc.system) == 3 and list(doc.system.rules) == built
     assert doc.rule_lines == (4, 3, 5)
+    # the public constructor builds its rules from the kept keys too, and
+    # holds them rather than the caller's equal objects
+    given_rules = [Rule(r.premises, r.conclusion) for r in doc.system.rules]
+    built.clear()
+    system = LogicSystem(doc.language, given_rules * 5)
+    assert len(system) == 3 and list(system.rules) == built and system == doc.system
+    assert all(map(operator.is_, system.rules, built))
+    assert not any(map(operator.is_, system.rules, given_rules))
 
 
 @given(st.one_of(systems(), named_systems()), st.randoms(use_true_random=False))

@@ -810,21 +810,38 @@ def test_characterization_at_the_widest_matched_lane():
     ]
 
 
-def test_law_corpus_rows_do_not_depend_on_the_hash_seed():
-    # a slice of tests/laws_corpus.py: every check_axioms, equivalent and
-    # verify row, bypassed systems with failing rows included
+def corpus_rows(script: str) -> list[dict]:
+    """The rows of two rounds of a corpus script beside this file, checked
+    to be the same bytes under two hash seeds."""
     src = str(Path(laws.__file__).resolve().parents[1])
-    script = Path(__file__).with_name("laws_corpus.py")
     outputs = []
     for seed in "0", "7":
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
         done = subprocess.run(
-            [sys.executable, str(script), "--rounds", "2"], env=env, capture_output=True, timeout=60
+            [sys.executable, str(Path(__file__).with_name(script)), "--rounds", "2"],
+            env=env, capture_output=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
-    rows = [json.loads(row) for row in outputs[0].splitlines()]
+    return [json.loads(row) for row in outputs[0].splitlines()]
+
+
+def test_law_corpus_rows_do_not_depend_on_the_hash_seed():
+    # a slice of tests/laws_corpus.py: every check_axioms, equivalent and
+    # verify row, bypassed systems with failing rows included
+    rows = corpus_rows("laws_corpus.py")
     assert {row["call"] for row in rows} == {"check_axioms", "equivalent", "verify"}
     assert any(row["case"].startswith("bypassed") and not row["passed"] for row in rows)
+
+
+def test_model_corpus_rows_do_not_depend_on_the_hash_seed():
+    # a slice of tests/model_corpus.py: each system parsed, made from tuples
+    # and constructed from Rules, and every reader of each build
+    rows = corpus_rows("model_corpus.py")
+    equal = {row["case"]: row["result"] for row in rows if row["call"] == "equal"}
+    assert all(result == [True, True] for case, result in equal.items() if not case.startswith("outside"))
+    assert {row["via"] for row in rows if row["call"] == "build"} == {"parse", "make_system", "LogicSystem"}
+    assert all(row["result"]["error"].startswith("UnknownSymbol: ") for row in rows if row["call"] == "build")
+    assert {"closed_form_ternary", "closed_form_binary", "weight_ternary", "rule_lines"} <= {r["call"] for r in rows}

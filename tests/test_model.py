@@ -27,6 +27,7 @@ from conseq import (
     Sort,
     Symbol,
     UnknownSymbol,
+    chain_system,
     is_mixed_binary,
     is_mixed_ternary,
     make_language,
@@ -270,6 +271,29 @@ def test_make_system_collapses_duplicates():
     lang = make_language({"a1", "b1"}, {"l1"})
     system = make_system(lang, [(("a1", "l1"), "b1"), (("a1", "l1"), "b1")])
     assert len(system) == 1
+
+
+def test_make_system_and_chain_system_build_only_the_kept_rules(monkeypatch):
+    # both compile keys, as the parser does: each kept rule is built once,
+    # from its key, and no rule goes through Rule's constructor
+    built, trusted_rule = [], model._trusted_rule
+
+    def counting(premises, conclusion):
+        built.append(trusted_rule(premises, conclusion))
+        return built[-1]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Rule() was called")
+
+    monkeypatch.setattr(model, "_trusted_rule", counting)
+    monkeypatch.setattr(Rule, "__init__", refuse)
+    lang = make_language({"a1", "b1"}, {"l1"})
+    system = make_system(lang, [(("a1", "l1"), "b1"), (["a1"], "b1"), (("l1", "b1", "a1"), "a1")] * 5)
+    assert [str(r) for r in system.rules] == ["a1 => b1", "a1 l1 => b1", "l1 b1 a1 => a1"]
+    assert list(system.rules) == built and system._sources.tolist() == [1, 0, 2]
+    built.clear()
+    chain = chain_system([lang.resolve(n) for n in ("b1", "l1", "a1")])
+    assert [str(r) for r in chain.rules] == ["b1 => l1", "l1 => a1"] and list(chain.rules) == built
 
 
 def test_make_system_rejects_premises_given_as_one_string():

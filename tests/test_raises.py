@@ -29,6 +29,7 @@ from conseq import (
     Sort,
     Symbol,
     chain_system,
+    equivalent,
     make_language,
     make_system,
 )
@@ -139,6 +140,26 @@ SITES = {
         "item ('a1', 'b1', 'c1') is not a (premises, conclusion) pair",
     ),
     "make-system-none": (lambda: make_system(LA1, [None]), "item None is not a (premises, conclusion) pair"),
+    # an argument that is not iterable at all is named, not a bare TypeError
+    "table-universe-none": (lambda: OperatorTable(None, (0,)), "argument universe is not iterable: None"),
+    "table-images-none": (lambda: OperatorTable((X,), None), "argument images is not iterable: None"),
+    "language-standard-none": (lambda: make_language(None, []), "argument standard_names is not iterable: None"),
+    "language-nonstandard-none": (
+        lambda: make_language(["a1"], None),
+        "argument nonstandard_names is not iterable: None",
+    ),
+    "make-system-rules-none": (lambda: make_system(LA1, None), "argument rule_tuples is not iterable: None"),
+    "system-rules-none": (lambda: LogicSystem(LA1, None), "argument rules is not iterable: None"),
+    "make-system-premises-int": (lambda: make_system(LA1, [(3, "a1")]), "premises 3 are not a sequence of names"),
+    # bytes would split into the names 97 and 98
+    "language-standard-bytes": (
+        lambda: make_language(b"ab", []),
+        "standard names b'ab' are a string, not a collection of names",
+    ),
+    "make-system-premises-bytes": (
+        lambda: make_system(LA1, [(b"a1", "b1")]),
+        "premises b'a1' are a string, not a sequence of names",
+    ),
 }
 
 
@@ -199,6 +220,13 @@ def test_table_lookups_name_a_subset_that_is_not_iterable(call):
         call()
     assert str(info.value).startswith("subset is not a set of Symbols: ")
     assert str(info.value).endswith("object is not iterable")
+
+
+def test_a_table_keeps_any_universe_sequence_as_a_tuple():
+    given_list = OperatorTable([X], [0, 1])
+    assert given_list.universe == (X,) and given_list.images == (0, 1)
+    assert given_list == TABLE_X and hash(given_list) == hash(TABLE_X)
+    assert equivalent(given_list, TABLE_X).equal
 
 
 def test_set_of_accepts_every_mask_of_the_universe():
