@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DuplicateElement, LanguageMismatch, TooShort
-from .model import Language, LogicSystem, Sort, Symbol, _require_shape, _require_symbols, symbol_key
+from .model import Language, LogicSystem, Sort, Symbol, _require_shape, _require_symbols, _tuple_of, symbol_key
 
 # Deduction sets are plain frozensets of symbols over the system's language;
 # mixing sorts is fine.
@@ -144,7 +144,7 @@ def chain_system(elements: Sequence[Symbol]) -> LogicSystem:
     smallest language containing the elements.  Closing from {e_i} yields the
     tail {e_i..eN}, which is the whole element set exactly when i = 0.
     """
-    elems = tuple(elements)
+    elems = _tuple_of(elements, "elements")
     if len(elems) < 2:
         raise TooShort("a chain needs at least two elements")
     try:

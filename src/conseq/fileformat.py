@@ -18,10 +18,11 @@ line in file order and `LogicSystem` collapses the duplicates, recording
 which line each kept rule came from (`SystemDocument.rule_lines`).
 
 Parsing goes straight to the compiled form.  The language is built by
-`make_language`, like any other, `LogicSystem` turns each rule's names into
-a key of integer symbol ids and compiles the keys, and it builds a `Rule`
-only per distinct rule, none per input line.  The garbage collector is paused
-meanwhile; see `parse_system`.
+`make_language`, like any other, and `LogicSystem` turns each rule's names
+into a key of integer symbol ids and compiles the keys; no `Rule` is built.
+The garbage collector is paused meanwhile; see `parse_system`.
+`render_system` reads `system.rules`, which a system builds from its keys
+on first access.
 
 Canonical rendering emits one declaration line per sort with names sorted
 lexicographically (the nonstandard line is dropped when empty), then the
@@ -41,12 +42,14 @@ from typing import Iterable
 from .errors import (
     EmptyStandardPart,
     EmptySystem,
+    InvalidValue,
+    LanguageMismatch,
     NameCollision,
     ParseError,
     UnknownSymbol,
 )
 from .model import NAME_RE, Language, LogicSystem, Sort, Symbol, make_language, symbol_key
-from .model import _NONSTANDARD, _STANDARD, _first_bad_name
+from .model import _NONSTANDARD, _STANDARD, _first_bad_name, _require_symbols, _tuple_of
 
 TOKEN_RE = re.compile(r"\S+")
 KEYWORDS = ("standard", "nonstandard", "rule")
@@ -129,8 +132,8 @@ def parse_system(text: str | bytes, source_name: str = "<string>") -> SystemDocu
     checked against the declarations, `make_language` builds the language
     from the declared names, and `LogicSystem._name_keys` turns each rule's
     names into a key of symbol ids, which `LogicSystem._from_keys` compiles:
-    it builds a `Rule` only for each distinct rule, keeps the first
-    occurrence, and records its input index, which gives that rule's line.
+    it keeps the first occurrence of each distinct rule, as its key and no
+    `Rule`, and records its input index, which gives that rule's line.
     Columns are worked out only for an error.
 
     The cyclic garbage collector is paused for the parse and compile, which
@@ -274,7 +277,12 @@ def render_system(doc: "SystemDocument | LogicSystem") -> str:
 def render_set(members: Iterable[Symbol]) -> str:
     """Comma-separated names sorted lexicographically; nonstandard symbols
     get a '*' prefix on output only."""
-    ordered = sorted(members, key=symbol_key)
+    try:
+        ordered = sorted(members, key=symbol_key)
+    except (AttributeError, TypeError) as e:  # not iterable, or a member that is not a symbol
+        _require_symbols(_tuple_of(members, "members"))
+        # a one-shot iterator is spent by now, so no member can be named
+        raise LanguageMismatch(f"a member is not a Symbol: {e}") from None
     return ",".join(
         s.name if s.sort is _STANDARD else f"*{s.name}" for s in ordered
     )
@@ -284,15 +292,18 @@ def parse_set(text: str, language: Language) -> frozenset[Symbol]:
     """Parse a comma-separated symbol list against a language.
 
     A leading '*' on a name is accepted and ignored (the sort comes from the
-    declarations); the empty string is the empty set.
+    declarations); the empty string is the empty set.  Text that is not a
+    str raises InvalidValue.
     """
+    try:
+        pieces = text.split(",")
+    except (AttributeError, TypeError):  # bytes, None, or any other non-str
+        raise InvalidValue(f"set text {text!r} is not a str") from None
     if not text.strip():
         return frozenset()
     members = set()
-    for piece in text.split(","):
-        name = piece.strip()
-        if name.startswith("*"):
-            name = name[1:]
+    for piece in pieces:
+        name = piece.strip().removeprefix("*")
         if not name:
             raise UnknownSymbol(f"empty name in set {text!r}")
         members.add(language.resolve(name))

@@ -64,20 +64,22 @@ def _require_symbol(system: LogicSystem, s: Symbol) -> None:
 def _require_uniform_arity(system: LogicSystem, arity: int, label: str) -> None:
     # O(1) when it passes; a failing check scans to name the first bad rule
     if system._arities != {arity}:
-        rule = next(r for r in system.rules if r.arity != arity)
-        raise PreconditionViolated(f"rule ({rule}) is not {label}")
+        key = next(k for k in system._keys if k[0] + 1 != arity)
+        raise PreconditionViolated(f"rule ({system._rule(key)}) is not {label}")
 
 
 def matched_rules_ternary(system: LogicSystem, a: Symbol, b: Symbol) -> tuple[Rule, ...]:
     """Rules with first premise `a` and conclusion `b`, in canonical order."""
-    anchor = (system._ids.get(a), system._ids.get(b))
-    matches = map(eq, zip(system._firsts, system._conclusions), repeat(anchor))
+    _require_symbol(system, a)
+    _require_symbol(system, b)
+    matches = map(eq, zip(system._firsts, system._conclusions), repeat((system._ids[a], system._ids[b])))
     return tuple(compress(system.rules, matches))
 
 
 def matched_rules_binary(system: LogicSystem, b: Symbol) -> tuple[Rule, ...]:
     """Rules concluding `b`, in canonical order."""
-    matches = map(eq, system._conclusions, repeat(system._ids.get(b)))
+    _require_symbol(system, b)
+    matches = map(eq, system._conclusions, repeat(system._ids[b]))
     return tuple(compress(system.rules, matches))
 
 

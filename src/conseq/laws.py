@@ -252,14 +252,10 @@ def _universe(symbols: Iterable[Symbol], lead: str = "universe has") -> tuple[Sy
 
 
 def _rule_masks(system: LogicSystem, syms: tuple[Symbol, ...]) -> list[tuple[int, int]]:
-    bit = {s: 1 << i for i, s in enumerate(syms)}
-    masks = []
-    for rule in system.rules:
-        pm = 0
-        for p in rule.premises:
-            pm |= bit[p]
-        masks.append((pm, bit[rule.conclusion]))
-    return masks
+    """(premise mask, conclusion mask) of each rule, read from its key."""
+    bit = {system._ids[s]: 1 << i for i, s in enumerate(syms)}
+    # a rule's premise mask is the OR of its premise bits: the sum of the distinct ones
+    return [(sum({bit[p] for p in key[1:-1]}), bit[key[-1]]) for key in system._keys]
 
 
 def _lanes(values: Iterable[int]) -> int:

@@ -22,8 +22,9 @@ Everything here is immutable after construction and safe to share between
 threads.  Building a `LogicSystem` compiles it once to integer symbol and
 rule ids, in time linear in the rules plus one sort; one `_compile` serves
 every way of building one (the public constructor, `make_system`,
-`chain_system` and the parser), and builds every rule a system holds from
-its compiled key, see the `LogicSystem` docstring.
+`chain_system` and the parser).  A system stores each rule only as its
+compiled key; its `Rule` objects are built from the keys on first use of
+`rules`, see the `LogicSystem` docstring.
 
 The two shapes whose closure is a single rule pass, mixed ternary
 (standard nonstandard => standard) and mixed binary (nonstandard =>
@@ -38,7 +39,7 @@ import re
 import threading
 import weakref
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from operator import attrgetter
@@ -310,19 +311,7 @@ class Rule:
         return f"{' '.join(p.name for p in self.premises)} => {self.conclusion.name}"
 
 
-# A rule's two slots, set directly: for rules built from compiled keys,
-# whose premises are already a nonempty tuple of symbols
-_SET_PREMISES, _SET_CONCLUSION = Rule.premises.__set__, Rule.conclusion.__set__
-
-
-def _trusted_rule(premises: tuple[Symbol, ...], conclusion: Symbol) -> Rule:
-    rule = object.__new__(Rule)
-    _SET_PREMISES(rule, premises)
-    _SET_CONCLUSION(rule, conclusion)
-    return rule
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LogicSystem:
     """A nonempty set of rules over one language.
 
@@ -335,41 +324,42 @@ class LogicSystem:
     it).
 
     Construction compiles the system once, in time linear in its size plus
-    one sort of flat integer keys, and keeps no container per rule.  Ids
-    number the language's symbols by name (`_symbols`; `_ids` maps back),
-    so the key (premise count, premise ids, conclusion id) sorts rules in
-    the canonical order.  `_of_sort[sort]` holds one byte per id, 1 where
-    the id has that sort, compiled here so that the shape checks do not
-    rebuild it.  Per rule: `premise_counts` (distinct premises), `_firsts`
-    (first premise ids) and `_conclusions` (ids).  When every rule has one
-    arity the key sorts by first premise id, so `_firsts` is non-decreasing
-    and the rules sharing a first premise form one run, which
-    `influence.weight_ternary` bisects.  Per symbol id s:
+    one sort of flat integer keys.  Ids number the language's symbols by
+    name (`_symbols`; `_ids` maps back), so the key (premise count, premise
+    ids, conclusion id) sorts rules in the canonical order.  The sorted
+    keys, `_keys`, are the one stored form of each rule; `==` and `hash`
+    read them and the language.  `_of_sort[sort]` holds one byte per id, 1
+    where the id has that sort, compiled here so that the shape checks do
+    not rebuild it.  Per rule: `premise_counts` (distinct premises),
+    `_firsts` (first premise ids) and `_conclusions` (ids).  When every
+    rule has one arity the key sorts by first premise id, so `_firsts` is
+    non-decreasing and the rules sharing a first premise form one run,
+    which `influence.weight_ternary` bisects.  Per symbol id s:
     `_premise_rules[s]`, the ascending ids of the rules having s among
     their distinct premises, or the shared `()`; `_arities` holds the
     arities.  `close`, `symbols`, `conclusions` and a passing shape check
     read only these.  `premise_index` is a view of them built on first
     use, sharing the tuples of `_premise_rules`, and `first_premise_index`
-    one built on the first one-pass query.
+    one built from the keys on the first one-pass query.
 
-    One `_compile` builds all of this from the keys, `rules` too: each kept
-    rule is built from its key, so a system holds its own `Rule` objects,
-    equal to the caller's but not the same objects.  Every front end numbers
-    the symbols by `Language._numbering`.  `LogicSystem(language, rules)`
-    keys the caller's `Rule` objects.  The others key what they were given
-    and compile it with `_from_keys`, so they make no `Rule` per input
-    item: the parser (`fileformat.parse_system`) keys the names it read
-    with `_name_keys`, `make_system` the names it was given and
-    `closure.chain_system` its consecutive elements.
+    `rules` is built from the keys on first access, one `Rule` per key
+    through `_rule`, and cached; a refused shape check builds only the
+    rules its reason names.  Every front end numbers the symbols by
+    `Language._numbering` and hands its keys to `_compile`.
+    `LogicSystem(language, rules)` keys the caller's `Rule` objects.  The
+    others key what they were given and compile it with `_from_keys`, so
+    they make no `Rule` at all: the parser (`fileformat.parse_system`)
+    keys the names it read with `_name_keys`, `make_system` the names it
+    was given and `closure.chain_system` its consecutive elements.
     """
 
     language: Language
-    rules: tuple[Rule, ...]
+    _keys: tuple[tuple[int, ...], ...] = field(repr=False)
 
-    def __post_init__(self):
-        ids = self.language._numbering[1]
+    def __init__(self, language: Language, rules: Iterable[Rule]):
+        ids = language._numbering[1]
         keyed: dict[tuple[int, ...], int] = {}  # key -> input index of its first rule
-        for i, rule in enumerate(_iter_of(self.rules, "rules")):  # read once
+        for i, rule in enumerate(_iter_of(rules, "rules")):  # read once
             try:
                 key = (len(rule.premises), *map(ids.__getitem__, rule.premises), ids[rule.conclusion])
             except (AttributeError, KeyError, TypeError) as e:
@@ -378,7 +368,7 @@ class LogicSystem:
                 _require_symbols((*rule.premises, rule.conclusion))
                 raise UnknownSymbol(f"rule ({rule}) uses symbol {e.args[0].name!r} not in the language") from None
             keyed.setdefault(key, i)
-        self._compile(keyed)
+        self._compile(language, keyed)
 
     @staticmethod
     def _name_keys(language: Language, rule_names: Iterable[Sequence[str]]) -> dict[tuple[int, ...], int]:
@@ -399,21 +389,21 @@ class LogicSystem:
         """The system of `keyed`, each distinct rule's key (premise count,
         premise ids, conclusion id over `language._numbering`) mapped to the
         input index of its first occurrence, as `_name_keys` returns them.
-        The keys are trusted; only the kept rules become `Rule` objects."""
+        The keys are trusted."""
         system = object.__new__(cls)
-        object.__setattr__(system, "language", language)
-        system._compile(keyed)
+        system._compile(language, keyed)
         return system
 
-    def _compile(self, keyed: dict[tuple[int, ...], int]) -> None:
-        """Compile the keys, over `language._numbering`, and build each kept
-        rule from its key: a system holds its own `Rule` objects, whichever
-        front end keyed it."""
-        symbols, ids = self.language._numbering
+    def _compile(self, language: Language, keyed: dict[tuple[int, ...], int]) -> None:
+        """Set `language` and compile the keys over its `_numbering`,
+        keeping the sorted keys as `_keys`; no `Rule` is built."""
+        symbols, ids = language._numbering
         if not keyed:
             raise EmptySystem("a logic system needs at least one rule")
-        keys = sorted(keyed)
+        keys = tuple(sorted(keyed))
         put = object.__setattr__
+        put(self, "language", language)
+        put(self, "_keys", keys)
         put(self, "_sources", array("q", map(keyed.__getitem__, keys)))  # no int object per rule
         distinct = [k[1:-1] if k[0] == 1 else set(k[1:-1]) for k in keys]
         # rules in canonical order, so each id's list comes out ascending
@@ -423,15 +413,21 @@ class LogicSystem:
                 per_id[p].append(i)
         put(self, "_premise_rules", tuple(map(tuple, per_id)))  # `tuple([])` is the shared `()`
         put(self, "premise_counts", tuple(map(len, distinct)))
-        del distinct, per_id  # freed before any rule is built
         put(self, "_firsts", tuple(k[1] for k in keys))
         put(self, "_conclusions", tuple(k[-1] for k in keys))
         put(self, "_arities", frozenset(k[0] + 1 for k in keys))
         put(self, "_symbols", symbols)
         put(self, "_ids", ids)
         put(self, "_of_sort", {sort: bytes(s.sort is sort for s in symbols) for sort in Sort})
-        at = symbols.__getitem__
-        put(self, "rules", tuple(_trusted_rule(tuple(map(at, k[1:-1])), at(k[-1])) for k in keys))
+
+    def _rule(self, key: tuple[int, ...]) -> Rule:
+        """The `Rule` of one compiled key, through the public constructor."""
+        return Rule(tuple(map(self._symbols.__getitem__, key[1:-1])), self._symbols[key[-1]])
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        """The rules in canonical order, built from `_keys` on first access."""
+        return tuple(map(self._rule, self._keys))
 
     @cached_property
     def symbols(self) -> frozenset[Symbol]:
@@ -462,9 +458,10 @@ class LogicSystem:
         against a premise set hashed once here.  Built lazily on the first
         one-pass query; `close` never needs it.
         """
+        at = self._symbols.__getitem__
         index: dict[Symbol, list[tuple[frozenset[Symbol], Symbol]]] = {}
-        for rule in self.rules:
-            index.setdefault(rule.premises[0], []).append((rule.premise_set, rule.conclusion))
+        for key in self._keys:
+            index.setdefault(at(key[1]), []).append((frozenset(map(at, key[1:-1])), at(key[-1])))
         return {s: tuple(rules) for s, rules in index.items()}
 
     @cached_property
@@ -478,7 +475,7 @@ class LogicSystem:
         return is_mixed_binary(self)
 
     def __len__(self) -> int:
-        return len(self.rules)
+        return len(self._keys)
 
 
 def make_language(
@@ -571,8 +568,9 @@ def _mixed_shape(system: LogicSystem, label: str) -> ShapeCheck:
     (`_firsts`) of the right sort, the premise occurrences on nonstandard
     ids (the lengths of their `_premise_rules`) number exactly the rules
     times those positions, and only first premises can equal a conclusion.
-    The rules are scanned only when it refuses, to name the first offending
-    one, which a refused system always has.
+    The keys are scanned only when it refuses, to find the first offending
+    rule, which a refused system always has; only the rules the reason
+    names are built.
     """
     shape = _SHAPES[label]
     nonstandard_positions = [sort for _, sort in shape[:-1]].count(Sort.NONSTANDARD)
@@ -585,21 +583,19 @@ def _mixed_shape(system: LogicSystem, label: str) -> ShapeCheck:
         and set(system._conclusions).isdisjoint(system._firsts)
     ):
         return ShapeCheck(True)
-    for rule in system.rules:
-        if rule.arity != len(shape):
-            return ShapeCheck(False, f"rule ({rule}) is not {label}")
-        for (where, sort), s in zip(shape, (*rule.premises, rule.conclusion)):
+    symbol, rule = system._symbols.__getitem__, system._rule
+    for key in system._keys:
+        if key[0] + 1 != len(shape):
+            return ShapeCheck(False, f"rule ({rule(key)}) is not {label}")
+        for (where, sort), s in zip(shape, map(symbol, key[1:])):
             if s.sort is not sort:
-                return ShapeCheck(False, f"{where} {s.name} of rule ({rule}) is {s.sort.value}")
-    conclusion_owner = {r.conclusion: r for r in reversed(system.rules)}
-    for rule in system.rules:
-        for p in rule.premises:
+                return ShapeCheck(False, f"{where} {s.name} of rule ({rule(key)}) is {s.sort.value}")
+    conclusion_owner = {symbol(k[-1]): k for k in reversed(system._keys)}
+    for key in system._keys:
+        for p in map(symbol, key[1:-1]):
             if p in conclusion_owner:
-                other = conclusion_owner[p]
-                return ShapeCheck(
-                    False,
-                    f"premise {p.name} of rule ({rule}) equals conclusion of rule ({other})",
-                )
+                other = rule(conclusion_owner[p])
+                return ShapeCheck(False, f"premise {p.name} of rule ({rule(key)}) equals conclusion of rule ({other})")
 
 
 def is_mixed_ternary(system: LogicSystem) -> ShapeCheck:

@@ -89,34 +89,36 @@ def test_parse_hashes_no_rule(monkeypatch):
 
 
 def test_parse_builds_no_rule_through_its_constructor(monkeypatch):
+    # the parse stores compiled keys only; `rules` builds them on first use
     def refuse(self, *args, **kwargs):
         raise AssertionError("Rule() was called")
 
     monkeypatch.setattr(Rule, "__init__", refuse)
     doc = parse_system(BASIC + "rule: a1 => b1\nrule: b1 l1 => a1\n")
+    assert len(doc.system) == 3 and "rules" not in vars(doc.system)
+    monkeypatch.undo()
     assert [str(r) for r in doc.system.rules] == ["a1 => b1", "a1 l1 => b1", "b1 l1 => a1"]
     assert all(type(r) is Rule and r.premises and r.premise_set for r in doc.system.rules)
 
 
-def test_parse_builds_one_rule_per_distinct_rule(monkeypatch):
-    built, trusted_rule = [], model._trusted_rule
-
-    def counting(premises, conclusion):
-        built.append(trusted_rule(premises, conclusion))
-        return built[-1]
-
-    monkeypatch.setattr(model, "_trusted_rule", counting)
+def test_parse_builds_one_rule_per_distinct_rule(built_rules):
+    # neither front end builds a rule; the first `.rules` builds one per
+    # kept rule, in canonical order, and later accesses return that tuple
     rules = ["rule: a1 l1 => b1", "rule: a1 => b1", "rule: l1 b1 a1 => a1"]
     doc = parse_system("standard: a1 b1\nnonstandard: l1\n" + "\n".join(rules * 5))
-    assert len(doc.system) == 3 and list(doc.system.rules) == built
+    assert len(doc.system) == 3 and not built_rules
+    kept = doc.system.rules
+    assert [str(r) for r in kept] == ["a1 => b1", "a1 l1 => b1", "l1 b1 a1 => a1"]
+    assert all(map(operator.is_, kept, built_rules)) and len(built_rules) == 3
+    assert doc.system.rules is kept and len(built_rules) == 3
     assert doc.rule_lines == (4, 3, 5)
-    # the public constructor builds its rules from the kept keys too, and
-    # holds them rather than the caller's equal objects
-    given_rules = [Rule(r.premises, r.conclusion) for r in doc.system.rules]
-    built.clear()
+    # the public constructor keys the caller's rules and holds none of them
+    given_rules = [Rule(r.premises, r.conclusion) for r in kept]
+    built_rules.clear()
     system = LogicSystem(doc.language, given_rules * 5)
-    assert len(system) == 3 and list(system.rules) == built and system == doc.system
-    assert all(map(operator.is_, system.rules, built))
+    assert len(system) == 3 and system == doc.system and not built_rules
+    assert list(system.rules) == given_rules and len(built_rules) == 3
+    assert all(map(operator.is_, system.rules, built_rules))
     assert not any(map(operator.is_, system.rules, given_rules))
 
 

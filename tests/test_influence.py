@@ -170,10 +170,16 @@ def test_weight_binary_equals_a_plain_count_without_scanning_rules(system):
 
 @given(systems())
 def test_matched_rules_equal_a_plain_scan_at_any_arity(system):
-    outside = Symbol("zz", Sort.STANDARD)
-    for b in (*system._symbols, outside):
+    for b in system._symbols:
         assert matched_rules_binary(system, b) == _binary_matches(system, b)
-        for a in (*system._symbols, outside):
+        for a in system._symbols:
             assert matched_rules_ternary(system, a, b) == _ternary_matches(system, a, b)
-    assert matched_rules_binary(system, outside) == ()
-    assert matched_rules_ternary(system, outside, system._symbols[0]) == ()
+    # a symbol outside the language is refused, as the weights refuse it
+    outside, inside = Symbol("zz", Sort.STANDARD), system._symbols[0]
+    for call in (
+        lambda: matched_rules_binary(system, outside),
+        lambda: matched_rules_ternary(system, outside, inside),
+        lambda: matched_rules_ternary(system, inside, outside),
+    ):
+        with pytest.raises(UnknownSymbol, match="symbol 'zz' is not in the system's language"):
+            call()

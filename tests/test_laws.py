@@ -36,6 +36,8 @@ from conseq import (
     equivalent,
     make_language,
     make_system,
+    parse_system,
+    render_system,
     step,
     tabulate,
     verify_closed_form_characterization,
@@ -845,3 +847,14 @@ def test_model_corpus_rows_do_not_depend_on_the_hash_seed():
     assert {row["via"] for row in rows if row["call"] == "build"} == {"parse", "make_system", "LogicSystem"}
     assert all(row["result"]["error"].startswith("UnknownSymbol: ") for row in rows if row["call"] == "build")
     assert {"closed_form_ternary", "closed_form_binary", "weight_ternary", "rule_lines"} <= {r["call"] for r in rows}
+
+
+def test_parse_corpus_rows_do_not_depend_on_the_hash_seed():
+    # a slice of tests/parse_corpus.py: generated and mutated documents,
+    # each an error with its place or a parse whose rendering parses back
+    rows = corpus_rows("parse_corpus.py")
+    errors = [row["result"] for row in rows if "error" in row["result"]]
+    parsed = [row["result"] for row in rows if "error" not in row["result"]]
+    assert {"ParseError", "UnknownSymbol"} <= {e["error"] for e in errors}
+    assert all(e["line"] >= 1 and e["col"] >= 1 for e in errors)
+    assert parsed and all(render_system(parse_system(p["render_system"])) == p["render_system"] for p in parsed)

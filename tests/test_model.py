@@ -3,18 +3,20 @@ recognizers."""
 
 import copy
 import gc
+import operator
 import pickle
 import random
 import sys
 import threading
 import weakref
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conseq import (
     BadIdentifier,
+    ConseqError,
     EmptyStandardPart,
     EmptySystem,
     FrozenSymbol,
@@ -28,14 +30,30 @@ from conseq import (
     Symbol,
     UnknownSymbol,
     chain_system,
+    check_axioms,
+    close,
+    closed_form_binary,
+    closed_form_ternary,
     is_mixed_binary,
     is_mixed_ternary,
     make_language,
     make_system,
     parse_system,
+    tabulate,
+    verify_closed_form_characterization,
+    weight_binary,
+    weight_ternary,
 )
 from conseq import model
-from strategies import mixed_binary_systems, mixed_ternary_systems, named_systems, systems, unscannable
+from conseq.model import symbol_key
+from strategies import (
+    chaining_ternary_systems,
+    mixed_binary_systems,
+    mixed_ternary_systems,
+    named_systems,
+    systems,
+    unscannable,
+)
 
 
 def test_make_language_counts_parts():
@@ -273,27 +291,20 @@ def test_make_system_collapses_duplicates():
     assert len(system) == 1
 
 
-def test_make_system_and_chain_system_build_only_the_kept_rules(monkeypatch):
-    # both compile keys, as the parser does: each kept rule is built once,
-    # from its key, and no rule goes through Rule's constructor
-    built, trusted_rule = [], model._trusted_rule
-
-    def counting(premises, conclusion):
-        built.append(trusted_rule(premises, conclusion))
-        return built[-1]
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("Rule() was called")
-
-    monkeypatch.setattr(model, "_trusted_rule", counting)
-    monkeypatch.setattr(Rule, "__init__", refuse)
+def test_make_system_and_chain_system_build_only_the_kept_rules(built_rules):
+    # both compile keys, as the parser does, and build no rule; the first
+    # `.rules` builds each kept rule once, from its key, in canonical order
     lang = make_language({"a1", "b1"}, {"l1"})
     system = make_system(lang, [(("a1", "l1"), "b1"), (["a1"], "b1"), (("l1", "b1", "a1"), "a1")] * 5)
-    assert [str(r) for r in system.rules] == ["a1 => b1", "a1 l1 => b1", "l1 b1 a1 => a1"]
-    assert list(system.rules) == built and system._sources.tolist() == [1, 0, 2]
-    built.clear()
     chain = chain_system([lang.resolve(n) for n in ("b1", "l1", "a1")])
-    assert [str(r) for r in chain.rules] == ["b1 => l1", "l1 => a1"] and list(chain.rules) == built
+    assert len(system) == 3 and len(chain) == 2 and not built_rules
+    assert [str(r) for r in system.rules] == ["a1 => b1", "a1 l1 => b1", "l1 b1 a1 => a1"]
+    assert all(map(operator.is_, system.rules, built_rules)) and len(built_rules) == 3
+    assert system._sources.tolist() == [1, 0, 2]
+    built_rules.clear()
+    assert [str(r) for r in chain.rules] == ["b1 => l1", "l1 => a1"]
+    assert all(map(operator.is_, chain.rules, built_rules)) and len(built_rules) == 2
+    assert chain.rules is chain.rules and len(built_rules) == 2
 
 
 def test_make_system_rejects_premises_given_as_one_string():
@@ -588,3 +599,81 @@ def test_first_premise_ids_are_sorted_in_uniform_arity_systems(system):
     firsts = system._firsts
     assert list(firsts) == sorted(firsts)
     assert firsts == tuple(system._ids[r.premises[0]] for r in system.rules)
+
+
+def outcome(call):
+    """The value of `call()`, or its error as class and message."""
+    try:
+        return call()
+    except ConseqError as e:
+        return type(e).__name__, str(e)
+
+
+def answers(system, inputs):
+    """What every reader that works on the compiled form answers for
+    `system`: each value, or the error it raises."""
+    pairs = [(a, b) for a in system._symbols for b in system._symbols]
+    table = outcome(lambda: tabulate(system, system.language.symbols))
+    return {
+        "len": len(system),
+        "shapes": (is_mixed_ternary(system), is_mixed_binary(system)),
+        "close": [close(system, x) for x in inputs],
+        "ternary": [outcome(lambda: closed_form_ternary(system, x)) for x in inputs],
+        "binary": [outcome(lambda: closed_form_binary(system, x)) for x in inputs],
+        "first_premise_index": system.first_premise_index,
+        "tabulate": table,
+        "check_axioms": outcome(lambda: check_axioms(table)),
+        "verify": outcome(lambda: verify_closed_form_characterization(system)),
+        "weight_ternary": [outcome(lambda: weight_ternary(system, a, b)) for a, b in pairs],
+        "weight_binary": [outcome(lambda: weight_binary(system, b)) for b in system._symbols],
+    }
+
+
+@settings(max_examples=60)
+@given(st.one_of(systems(), mixed_ternary_systems(), mixed_binary_systems(), chaining_ternary_systems()))
+def test_every_compiled_reader_answers_without_the_rules(system):
+    # a copy whose `rules` cannot be walked answers as the system does:
+    # refused shape checks build only the rules their reasons name
+    blind = unscannable(system)
+    assert blind == system and hash(blind) == hash(system) and len(blind) == len(system)
+    symbols = sorted(system.language.symbols, key=symbol_key)
+    inputs = [frozenset(), frozenset(symbols), *({s} for s in symbols), *(r.premise_set for r in system.rules)]
+    assert answers(blind, inputs) == answers(system, inputs)
+    assert is_mixed_ternary(blind).reason == ternary_reason_by_scan(system)
+    assert is_mixed_binary(blind).reason == binary_reason_by_scan(system)
+    index = {}
+    for r in system.rules:
+        index.setdefault(r.premises[0], []).append((r.premise_set, r.conclusion))
+    assert blind.first_premise_index == {s: tuple(rules) for s, rules in index.items()}
+
+
+COPIED = {
+    "ternary": "standard: a1 a2 b1\nnonstandard: l1 l2\nrule: a2 l1 => b1\nrule: a1 l2 => b1\nrule: a1 l1 => b1\n",
+    "chaining": "standard: a1 b1\nnonstandard: l1\nrule: a1 => l1\nrule: l1 a1 => b1\nrule: b1 => a1\n",
+}
+
+
+@pytest.mark.parametrize("text", COPIED.values(), ids=COPIED)
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy]
+    + [pytest.param(lambda s, p=p: pickle.loads(pickle.dumps(s, p)), id=f"pickle{p}") for p in range(6)],
+)
+def test_copies_and_pickles_of_a_system_are_equal_systems(text, duplicate):
+    for warm in False, True:
+        system = parse_system(text).system
+        if warm:  # the memoized forms travel too
+            system.rules, system.ternary_shape, system.first_premise_index
+        twin = duplicate(system)
+        assert twin == system and hash(twin) == hash(system)
+        assert twin.rules == system.rules and twin._sources == system._sources
+        inputs = [frozenset(), *({s} for s in system._symbols), *(r.premise_set for r in system.rules)]
+        assert answers(twin, inputs) == answers(system, inputs)
+
+
+def test_a_system_shows_and_compares_its_language_and_keys():
+    system = parse_system(COPIED["chaining"]).system
+    assert repr(system) == "LogicSystem(language=Language(standard={a1,b1}, nonstandard={l1}))"
+    assert [f.name for f in fields(LogicSystem)] == ["language", "_keys"]
+    assert system._keys == ((1, 0, 2), (1, 1, 0), (2, 2, 0, 1))
+    assert system != make_system(system.language, [(("a1",), "l1")])

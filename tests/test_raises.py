@@ -32,6 +32,10 @@ from conseq import (
     equivalent,
     make_language,
     make_system,
+    matched_rules_binary,
+    matched_rules_ternary,
+    parse_set,
+    render_set,
 )
 
 MODULES = sorted(Path(conseq.__file__).parent.glob("*.py"))
@@ -160,6 +164,10 @@ SITES = {
         lambda: make_system(LA1, [(b"a1", "b1")]),
         "premises b'a1' are a string, not a sequence of names",
     ),
+    "chain-none": (lambda: chain_system(None), "argument elements is not iterable: None"),
+    "parse-set-bytes": (lambda: parse_set(b"a1", LA1), "set text b'a1' is not a str"),
+    "parse-set-none": (lambda: parse_set(None, LA1), "set text None is not a str"),
+    "render-set-none": (lambda: render_set(None), "argument members is not iterable: None"),
 }
 
 
@@ -183,6 +191,7 @@ def test_a_rule_without_premises_names_any_conclusion():
 
 LXY = Language(frozenset({X, Y}), frozenset({L}))
 TABLE_X = OperatorTable((X,), (0, 1))
+SYSTEM_A1 = make_system(LA1, [(("a1",), "b1")])
 
 # constructors given a member that is not a symbol: (call, its repr)
 NOT_SYMBOLS = {
@@ -199,6 +208,15 @@ NOT_SYMBOLS = {
     "chain": (lambda: chain_system(["a", "b"]), "'a'"),
     "chain-repeat": (lambda: chain_system([X, "a", "a"]), "'a'"),
     "chain-unhashable": (lambda: chain_system([X, ["y"]]), "['y']"),
+    "render-set": (lambda: render_set([1]), "1"),
+    "render-set-after-symbols": (lambda: render_set([X, "x"]), "'x'"),
+    # the weights refuse these too, before they look at a rule
+    "matched-binary": (lambda: matched_rules_binary(SYSTEM_A1, "b1"), "'b1'"),
+    "matched-ternary": (lambda: matched_rules_ternary(SYSTEM_A1, "a1", "b1"), "'a1'"),
+    "matched-ternary-conclusion": (
+        lambda: matched_rules_ternary(SYSTEM_A1, LA1.resolve("a1"), ["b1"]),
+        "['b1']",
+    ),
 }
 
 
@@ -208,6 +226,12 @@ def test_constructors_name_a_member_that_is_not_a_symbol(site):
     with pytest.raises(LanguageMismatch) as info:
         call()
     assert str(info.value) == f"member {member} is not a Symbol"
+
+
+def test_render_set_refuses_a_member_of_a_one_shot_iterator_that_is_not_a_symbol():
+    # the members are gone by the time the error is seen, so none is named
+    with pytest.raises(LanguageMismatch, match="^a member is not a Symbol: 'int' object has no attribute 'name'$"):
+        render_set(iter([X, 1]))
 
 
 @pytest.mark.parametrize(
