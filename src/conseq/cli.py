@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .closure import chain_system, close, closed_form_binary, closed_form_ternary
-from .errors import ConseqError, PreconditionViolated, UniverseTooLarge
+from .errors import ConseqError, PreconditionViolated
 from .fileformat import parse_set, parse_system, render_set, render_system, SystemDocument
 from .influence import weight_binary, weight_ternary
 from .laws import UNIVERSE_CAP, LawReport, check_axioms, tabulate, verify_closed_form_characterization
@@ -46,13 +46,6 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
-def _universe_cap(text: str) -> int:
-    value = _positive_int(text)
-    if value > UNIVERSE_CAP:
-        raise argparse.ArgumentTypeError(f"hard cap is {UNIVERSE_CAP}")
     return value
 
 
@@ -103,13 +96,7 @@ def _cmd_close(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     doc = _load(args.file)
-    universe = doc.language.symbols
-    if len(universe) > args.universe_cap:
-        raise UniverseTooLarge(
-            f"declared universe has {len(universe)} symbols; cap is {args.universe_cap}"
-        )
-    report = check_axioms(tabulate(doc.system, universe))
-    return _emit_report(args, report)
+    return _emit_report(args, check_axioms(tabulate(doc.system, doc.language.symbols)))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -179,14 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="use the one-pass closed form; errors unless the system is mixed ternary or mixed binary",
     )
 
-    p = add("check", _cmd_check, "tabulate the operator and check the closure-operator laws")
-    p.add_argument(
-        "--universe-cap",
-        type=_universe_cap,
-        default=UNIVERSE_CAP,
-        metavar="N",
-        help=f"refuse universes larger than N symbols (default and hard cap {UNIVERSE_CAP})",
-    )
+    add("check", _cmd_check,
+        f"tabulate the operator and check the closure-operator laws (at most {UNIVERSE_CAP} symbols)")
 
     add("verify-thm23", _cmd_verify, "check the one-pass closed form characterization, both directions")
 

@@ -160,5 +160,4 @@ def chain_system(elements: Sequence[Symbol]) -> LogicSystem:
         raise
     language = Language(standard, frozenset(elems) - standard)
     ids = tuple(map(language._numbering[1].__getitem__, elems))
-    # the elements are distinct, so every link is a distinct rule
-    return LogicSystem._from_keys(language, {(1, a, b): i for i, (a, b) in enumerate(zip(ids, ids[1:]))})
+    return LogicSystem._from_keys(language, [(1, a, b) for a, b in zip(ids, ids[1:])])

@@ -13,13 +13,15 @@ and a leading '*' in set syntax can never be part of a name.  Declarations
 are gathered from the whole file before rules are validated, so
 declaration order does not matter.  All errors carry a 1-based line and
 column; arbitrary bytes never crash the parser, they produce a ParseError
-(invalid UTF-8 included).  A rule may repeat: the parser keeps every rule
-line in file order and `LogicSystem` collapses the duplicates, recording
-which line each kept rule came from (`SystemDocument.rule_lines`).
+(invalid UTF-8 included).  A rule may repeat: the parser maps each rule's
+key to the first line that holds it, which gives
+`SystemDocument.rule_lines`, and `LogicSystem` collapses the keys into its
+set of rules, as it does for every front end.
 
 Parsing goes straight to the compiled form.  The language is built by
-`make_language`, like any other, and `LogicSystem` turns each rule's names
-into a key of integer symbol ids and compiles the keys; no `Rule` is built.
+`make_language`, like any other, the parser turns each rule's names into a
+key of integer symbol ids through `Language._name_ids`, and `LogicSystem`
+compiles the keys; no `Rule` is built.
 The garbage collector is paused meanwhile; see `parse_system`.
 `render_system` reads `system.rules`, which a system builds from its keys
 on first access.
@@ -49,7 +51,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .model import NAME_RE, Language, LogicSystem, Sort, Symbol, make_language, symbol_key
-from .model import _NONSTANDARD, _STANDARD, _first_bad_name, _require_symbols, _tuple_of
+from .model import _NONSTANDARD, _STANDARD, _first_bad_name, _language_attr, _require_symbols, _tuple_of
 
 TOKEN_RE = re.compile(r"\S+")
 KEYWORDS = ("standard", "nonstandard", "rule")
@@ -59,7 +61,7 @@ KEYWORDS = ("standard", "nonstandard", "rule")
 class SystemDocument:
     """A parsed document: the language, the system, and where each rule came
     from: `rule_lines[i]` is the first source line holding `system.rules[i]`
-    (duplicates collapse in `LogicSystem`, which keeps the first)."""
+    (a repeated rule is one rule of the system)."""
 
     source_name: str
     language: Language
@@ -130,11 +132,11 @@ def parse_system(text: str | bytes, source_name: str = "<string>") -> SystemDocu
     The first pass splits each directive's payload with `str.split` and
     checks all of its names with one regex match.  Then every rule name is
     checked against the declarations, `make_language` builds the language
-    from the declared names, and `LogicSystem._name_keys` turns each rule's
-    names into a key of symbol ids, which `LogicSystem._from_keys` compiles:
-    it keeps the first occurrence of each distinct rule, as its key and no
-    `Rule`, and records its input index, which gives that rule's line.
-    Columns are worked out only for an error.
+    from the declared names, and each rule's names become a key of symbol
+    ids (`Language._name_ids`), mapped to the first line that holds it.
+    `LogicSystem._from_keys` compiles those keys, keeping each as its key
+    and no `Rule`, and each kept rule's line is read from the map by its
+    key.  Columns are worked out only for an error.
 
     The cyclic garbage collector is paused for the parse and compile, which
     allocate a few containers per rule and create no cycles; see
@@ -146,9 +148,9 @@ def parse_system(text: str | bytes, source_name: str = "<string>") -> SystemDocu
     with _COLLECTOR_PAUSE:
         if isinstance(text, bytes):
             text = _decode(text)
-        language, keyed, linenos = _read(text)
-        system = LogicSystem._from_keys(language, keyed)
-    return SystemDocument(source_name, language, system, tuple(map(linenos.__getitem__, system._sources)))
+        language, first_lines = _read(text)
+        system = LogicSystem._from_keys(language, first_lines)
+    return SystemDocument(source_name, language, system, tuple(map(first_lines.__getitem__, system._keys)))
 
 
 class _CollectorPause:
@@ -182,16 +184,19 @@ class _CollectorPause:
 _COLLECTOR_PAUSE = _CollectorPause()
 
 
-def _read(text: str) -> tuple[Language, dict[tuple[int, ...], int], list[int]]:
-    """The language, each distinct rule's key from `LogicSystem._name_keys`,
-    and the line of each rule in file order.
+def _read(text: str) -> tuple[Language, dict[tuple[int, ...], int]]:
+    """The language and `first_lines`: each distinct rule's key (premise
+    count, premise ids, conclusion id, the ids from `Language._name_ids`)
+    mapped to the first line that holds it, in file order.  The rule lines
+    are gathered as their names, each distinct one with its first line, and
+    keyed once the language is built; the first rule naming an undeclared
+    symbol is the first such line.
 
     A function of its own so that the tokens and declaration tables are
     freed before `LogicSystem` compiles the keys; the lines are freed once
     they are read, before the rules are keyed."""
     declared: dict[Sort, dict[str, int]] = {_STANDARD: {}, _NONSTANDARD: {}}  # name -> first line
-    rule_names: list[list[str]] = []  # premise names + conclusion, per rule in file order
-    linenos: list[int] = []
+    rule_lines: dict[tuple[str, ...], int] = {}  # premise names + conclusion -> first line
 
     for lineno, raw in enumerate(text.split("\n"), start=1):  # the lines are freed after the loop
         head, colon, payload = raw.partition(":")
@@ -238,21 +243,22 @@ def _read(text: str) -> tuple[Language, dict[tuple[int, ...], int], list[int]]:
         bad = _first_bad_name(tokens)
         if bad is not None:
             raise _bad_name(tokens[bad], lineno, _rule_columns(raw)[bad])
-        rule_names.append(tokens)
-        linenos.append(lineno)
+        rule_lines.setdefault(tuple(tokens), lineno)
 
     known = declared[_STANDARD].keys() | declared[_NONSTANDARD].keys()
-    if not known.issuperset(chain.from_iterable(rule_names)):
-        i, j = next((i, j) for i, names in enumerate(rule_names) for j, name in enumerate(names) if name not in known)
-        col = _rule_columns(text.split("\n")[linenos[i] - 1])[j]
-        raise UnknownSymbol(f"unknown symbol {rule_names[i][j]!r}", line=linenos[i], col=col)
+    if not known.issuperset(chain.from_iterable(rule_lines)):
+        names, lineno, j = next((names, ln, j) for names, ln in rule_lines.items()
+                                for j, name in enumerate(names) if name not in known)
+        col = _rule_columns(text.split("\n")[lineno - 1])[j]
+        raise UnknownSymbol(f"unknown symbol {names[j]!r}", line=lineno, col=col)
     if not declared[_STANDARD]:
         # a document-level condition; anchored at the start for uniformity
         raise EmptyStandardPart("document declares no standard symbols", line=1, col=1)
-    if not rule_names:
+    if not rule_lines:
         raise EmptySystem("document contains no rules", line=1, col=1)
     language = make_language(declared[_STANDARD], declared[_NONSTANDARD])
-    return language, LogicSystem._name_keys(language, rule_names), linenos
+    id_of = language._name_ids().__getitem__
+    return language, {(len(names) - 1, *map(id_of, names)): lineno for names, lineno in rule_lines.items()}
 
 
 def render_system(doc: "SystemDocument | LogicSystem") -> str:
@@ -293,7 +299,7 @@ def parse_set(text: str, language: Language) -> frozenset[Symbol]:
 
     A leading '*' on a name is accepted and ignored (the sort comes from the
     declarations); the empty string is the empty set.  Text that is not a
-    str raises InvalidValue.
+    str, and a `language` that is not a Language, raise InvalidValue.
     """
     try:
         pieces = text.split(",")
@@ -301,10 +307,11 @@ def parse_set(text: str, language: Language) -> frozenset[Symbol]:
         raise InvalidValue(f"set text {text!r} is not a str") from None
     if not text.strip():
         return frozenset()
+    resolve = _language_attr(language, "resolve")
     members = set()
     for piece in pieces:
         name = piece.strip().removeprefix("*")
         if not name:
             raise UnknownSymbol(f"empty name in set {text!r}")
-        members.add(language.resolve(name))
+        members.add(resolve(name))
     return frozenset(members)

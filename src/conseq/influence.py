@@ -69,18 +69,19 @@ def _require_uniform_arity(system: LogicSystem, arity: int, label: str) -> None:
 
 
 def matched_rules_ternary(system: LogicSystem, a: Symbol, b: Symbol) -> tuple[Rule, ...]:
-    """Rules with first premise `a` and conclusion `b`, in canonical order."""
+    """Rules with first premise `a` and conclusion `b`, in canonical order;
+    only the matched ones are built, from their keys."""
     _require_symbol(system, a)
     _require_symbol(system, b)
     matches = map(eq, zip(system._firsts, system._conclusions), repeat((system._ids[a], system._ids[b])))
-    return tuple(compress(system.rules, matches))
+    return tuple(map(system._rule, compress(system._keys, matches)))
 
 
 def matched_rules_binary(system: LogicSystem, b: Symbol) -> tuple[Rule, ...]:
-    """Rules concluding `b`, in canonical order."""
+    """Rules concluding `b`, in canonical order, built from their keys."""
     _require_symbol(system, b)
     matches = map(eq, system._conclusions, repeat(system._ids[b]))
-    return tuple(compress(system.rules, matches))
+    return tuple(map(system._rule, compress(system._keys, matches)))
 
 
 def weight_ternary(system: LogicSystem, a: Symbol, b: Symbol) -> InfluenceWeight:

@@ -245,10 +245,9 @@ def _universe(symbols: Iterable[Symbol], lead: str = "universe has") -> tuple[Sy
     except TypeError as e:
         raise LanguageMismatch(f"a member is not a Symbol: {e}") from None
     _require_symbols(members)
-    syms = tuple(sorted(members, key=symbol_key))
-    if len(syms) > UNIVERSE_CAP:
-        raise UniverseTooLarge(f"{lead} {len(syms)} symbols; the cap is {UNIVERSE_CAP}")
-    return syms
+    if len(members) > UNIVERSE_CAP:  # before the sort, which a huge universe would make slow
+        raise UniverseTooLarge(f"{lead} {len(members)} symbols; the cap is {UNIVERSE_CAP}")
+    return tuple(sorted(members, key=symbol_key))
 
 
 def _rule_masks(system: LogicSystem, syms: tuple[Symbol, ...]) -> list[tuple[int, int]]:

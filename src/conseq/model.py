@@ -22,9 +22,11 @@ Everything here is immutable after construction and safe to share between
 threads.  Building a `LogicSystem` compiles it once to integer symbol and
 rule ids, in time linear in the rules plus one sort; one `_compile` serves
 every way of building one (the public constructor, `make_system`,
-`chain_system` and the parser).  A system stores each rule only as its
-compiled key; its `Rule` objects are built from the keys on first use of
-`rules`, see the `LogicSystem` docstring.
+`chain_system` and the parser).  Each hands it a plain iterable of rule
+keys, repeats allowed, and `_compile` collapses them, so a system is the
+set of its rules whichever way it was built.  A system stores each rule
+only as its compiled key; its `Rule` objects are built from the keys on
+first use of `rules`, see the `LogicSystem` docstring.
 
 The two shapes whose closure is a single rule pass, mixed ternary
 (standard nonstandard => standard) and mixed binary (nonstandard =>
@@ -38,7 +40,6 @@ import enum
 import re
 import threading
 import weakref
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -213,6 +214,14 @@ def _tuple_of(values: Iterable, argument: str) -> tuple:
         raise
 
 
+def _language_attr(language: Language, name: str):
+    """`language`'s attribute `name`; only once the lookup has failed,
+    InvalidValue saying that `language` is not a Language."""
+    if (value := getattr(language, name, None)) is None:
+        raise InvalidValue(f"argument language is not a Language: {language!r}")
+    return value
+
+
 def symbol_key(s: Symbol) -> tuple[str, str]:
     """Deterministic ordering key; name first, sort as tie-break."""
     return (s.name, s.sort._value_)  # `.value` is a Python property
@@ -257,6 +266,13 @@ class Language:
         id) sorts rules in the canonical order; see `LogicSystem`."""
         symbols = tuple(sorted((*self.standard_part, *self.nonstandard_part), key=attrgetter("name")))
         return symbols, dict(zip(symbols, range(len(symbols))))
+
+    def _name_ids(self) -> dict[str, int]:
+        """Each symbol's name mapped to its id, built per call for a front end
+        that keys rules given by name (the parser and `make_system`).  The
+        ids are `_numbering`'s own int objects, which the compiled arrays
+        then share."""
+        return {symbol.name: i for symbol, i in self._numbering[1].items()}
 
     def resolve(self, name: str) -> Symbol:
         """Look a name up in either part; raises UnknownSymbol.
@@ -318,23 +334,22 @@ class LogicSystem:
     `rules` may be any iterable of rules; it is read once.  Rules are
     stored deduplicated in a canonical order (arity, premise names,
     conclusion), so equal systems compare equal and iteration, diagnostics,
-    and rendering are deterministic.  This is the one place where duplicate
-    rules collapse: the first occurrence of each is kept, and `_sources[i]`
-    is the input position of `rules[i]` (the parser's source lines go by
-    it).
+    and rendering are deterministic.  Every front end hands `_compile` a
+    plain iterable of keys, repeats allowed, and `_compile` is the one place
+    where duplicate rules collapse; a system keeps no record of where its
+    rules came from (the parser maps each kept key to its first line
+    itself, see `fileformat.parse_system`).
 
     Construction compiles the system once, in time linear in its size plus
     one sort of flat integer keys.  Ids number the language's symbols by
     name (`_symbols`; `_ids` maps back), so the key (premise count, premise
     ids, conclusion id) sorts rules in the canonical order.  The sorted
     keys, `_keys`, are the one stored form of each rule; `==` and `hash`
-    read them and the language.  `_of_sort[sort]` holds one byte per id, 1
-    where the id has that sort, compiled here so that the shape checks do
-    not rebuild it.  Per rule: `premise_counts` (distinct premises),
-    `_firsts` (first premise ids) and `_conclusions` (ids).  When every
-    rule has one arity the key sorts by first premise id, so `_firsts` is
-    non-decreasing and the rules sharing a first premise form one run,
-    which `influence.weight_ternary` bisects.  Per symbol id s:
+    read them and the language.  Per rule: `premise_counts` (distinct
+    premises), `_firsts` (first premise ids) and `_conclusions` (ids).
+    When every rule has one arity the key sorts by first premise id, so
+    `_firsts` is non-decreasing and the rules sharing a first premise form
+    one run, which `influence.weight_ternary` bisects.  Per symbol id s:
     `_premise_rules[s]`, the ascending ids of the rules having s among
     their distinct premises, or the shared `()`; `_arities` holds the
     arities.  `close`, `symbols`, `conclusions` and a passing shape check
@@ -348,63 +363,49 @@ class LogicSystem:
     `Language._numbering` and hands its keys to `_compile`.
     `LogicSystem(language, rules)` keys the caller's `Rule` objects.  The
     others key what they were given and compile it with `_from_keys`, so
-    they make no `Rule` at all: the parser (`fileformat.parse_system`)
-    keys the names it read with `_name_keys`, `make_system` the names it
-    was given and `closure.chain_system` its consecutive elements.
+    they make no `Rule` at all: the parser (`fileformat.parse_system`) and
+    `make_system` key names through `Language._name_ids`, and
+    `closure.chain_system` keys its consecutive elements.
     """
 
     language: Language
     _keys: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def __init__(self, language: Language, rules: Iterable[Rule]):
-        ids = language._numbering[1]
-        keyed: dict[tuple[int, ...], int] = {}  # key -> input index of its first rule
-        for i, rule in enumerate(_iter_of(rules, "rules")):  # read once
+        ids = _language_attr(language, "_numbering")[1]
+        keys = []
+        for rule in _iter_of(rules, "rules"):  # read once
             try:
-                key = (len(rule.premises), *map(ids.__getitem__, rule.premises), ids[rule.conclusion])
+                keys.append((len(rule.premises), *map(ids.__getitem__, rule.premises), ids[rule.conclusion]))
             except (AttributeError, KeyError, TypeError) as e:
                 if not isinstance(rule, Rule):
                     raise InvalidValue(f"item {rule!r} is not a Rule") from None
                 _require_symbols((*rule.premises, rule.conclusion))
                 raise UnknownSymbol(f"rule ({rule}) uses symbol {e.args[0].name!r} not in the language") from None
-            keyed.setdefault(key, i)
-        self._compile(language, keyed)
-
-    @staticmethod
-    def _name_keys(language: Language, rule_names: Iterable[Sequence[str]]) -> dict[tuple[int, ...], int]:
-        """Each distinct rule's key, mapped to the input index of its first
-        occurrence, for `_from_keys`.  `rule_names` gives each rule's
-        premise names and then its conclusion name; the names are trusted:
-        each names a symbol of `language`, and each rule has a premise."""
-        symbols, ids = language._numbering
-        # the ids' own int objects, which the compiled arrays then share
-        id_of = dict(zip(map(attrgetter("name"), symbols), ids.values())).__getitem__
-        keyed: dict[tuple[int, ...], int] = {}
-        for i, names in enumerate(rule_names):
-            keyed.setdefault((len(names) - 1, *map(id_of, names)), i)
-        return keyed
+        self._compile(language, keys)
 
     @classmethod
-    def _from_keys(cls, language: Language, keyed: dict[tuple[int, ...], int]) -> LogicSystem:
-        """The system of `keyed`, each distinct rule's key (premise count,
-        premise ids, conclusion id over `language._numbering`) mapped to the
-        input index of its first occurrence, as `_name_keys` returns them.
+    def _from_keys(cls, language: Language, keys: Iterable[tuple[int, ...]]) -> LogicSystem:
+        """The system of `keys`, each a rule's key (premise count, premise
+        ids, conclusion id over `language._numbering`), repeats allowed.
         The keys are trusted."""
         system = object.__new__(cls)
-        system._compile(language, keyed)
+        system._compile(language, keys)
         return system
 
-    def _compile(self, language: Language, keyed: dict[tuple[int, ...], int]) -> None:
-        """Set `language` and compile the keys over its `_numbering`,
-        keeping the sorted keys as `_keys`; no `Rule` is built."""
+    def _compile(self, language: Language, keys: Iterable[tuple[int, ...]]) -> None:
+        """Set `language` and compile `keys` over its `_numbering`; no `Rule`
+        is built.  Repeated keys collapse here and nowhere else:
+        `dict.fromkeys` keeps the input order, which a front end often gives
+        nearly sorted, so the sort that makes `_keys` stays cheap (a `set`
+        would scramble it)."""
         symbols, ids = language._numbering
-        if not keyed:
+        keys = tuple(sorted(dict.fromkeys(keys)))
+        if not keys:
             raise EmptySystem("a logic system needs at least one rule")
-        keys = tuple(sorted(keyed))
         put = object.__setattr__
         put(self, "language", language)
         put(self, "_keys", keys)
-        put(self, "_sources", array("q", map(keyed.__getitem__, keys)))  # no int object per rule
         distinct = [k[1:-1] if k[0] == 1 else set(k[1:-1]) for k in keys]
         # rules in canonical order, so each id's list comes out ascending
         per_id: list[list[int]] = [[] for _ in symbols]
@@ -418,7 +419,6 @@ class LogicSystem:
         put(self, "_arities", frozenset(k[0] + 1 for k in keys))
         put(self, "_symbols", symbols)
         put(self, "_ids", ids)
-        put(self, "_of_sort", {sort: bytes(s.sort is sort for s in symbols) for sort in Sort})
 
     def _rule(self, key: tuple[int, ...]) -> Rule:
         """The `Rule` of one compiled key, through the public constructor."""
@@ -501,18 +501,18 @@ def make_system(
 ) -> LogicSystem:
     """Build a system from (premise-names, conclusion-name) tuples.
 
-    Duplicate tuples collapse; unknown names raise UnknownSymbol, tuples
-    that are not iterable, an item that is not a (premises, conclusion)
-    pair or premises given as one string or bytes (or not iterable at all)
-    InvalidValue, an empty premise sequence NullaryRule and an empty list
-    EmptySystem.  Each item's names become a key of symbol ids, as the
-    parser's do in `LogicSystem._name_keys`, and `LogicSystem._from_keys`
-    compiles the keys, so no `Rule` is built per item.
+    Duplicate tuples collapse; unknown names raise UnknownSymbol, a
+    `language` that is not a Language, tuples that are not iterable, an
+    item that is not a (premises, conclusion) pair or premises given as one
+    string or bytes (or not iterable at all) InvalidValue, an empty premise
+    sequence NullaryRule and an empty list EmptySystem.  Each item's names
+    become a key of symbol ids through `Language._name_ids`, as the
+    parser's do, and `LogicSystem._from_keys` compiles the list of keys,
+    collapsing the repeats, so no `Rule` is built per item.
     """
-    symbols, ids = language._numbering
-    id_of = dict(zip(map(attrgetter("name"), symbols), ids.values())).__getitem__
-    keyed: dict[tuple[int, ...], int] = {}  # key -> index of its first item
-    for i, item in enumerate(_iter_of(rule_tuples, "rule_tuples")):
+    id_of = _language_attr(language, "_name_ids")().__getitem__
+    keys = []
+    for item in _iter_of(rule_tuples, "rule_tuples"):
         try:
             premise_names, conclusion_name = item
         except (TypeError, ValueError):
@@ -530,9 +530,9 @@ def make_system(
                 language.resolve(name)
             raise
         if len(key) == 2:
-            raise NullaryRule(f"rule concluding {symbols[key[-1]].name!r} has no premises")
-        keyed.setdefault(key, i)
-    return LogicSystem._from_keys(language, keyed)
+            raise NullaryRule(f"rule concluding {conclusion_name!r} has no premises")
+        keys.append(key)
+    return LogicSystem._from_keys(language, keys)
 
 
 @dataclass(frozen=True)
@@ -562,9 +562,11 @@ def _mixed_shape(system: LogicSystem, label: str) -> ShapeCheck:
     rule.  The disjointness is what rules out chaining: a fired conclusion
     can never enable another rule.
 
-    The compiled form decides, reading each id's sort from `_of_sort`.  In
-    both shapes every premise after the first is nonstandard and every
-    conclusion standard, so with one arity and the first premises
+    The compiled form decides.  Only a system of the shape's one arity
+    builds `of_sort`, one byte per id and sort, 1 where the id has that
+    sort, to read each id's sort from; a system of other arities never
+    does.  In both shapes every premise after the first is nonstandard and
+    every conclusion standard, so with one arity and the first premises
     (`_firsts`) of the right sort, the premise occurrences on nonstandard
     ids (the lengths of their `_premise_rules`) number exactly the rules
     times those positions, and only first premises can equal a conclusion.
@@ -576,9 +578,10 @@ def _mixed_shape(system: LogicSystem, label: str) -> ShapeCheck:
     nonstandard_positions = [sort for _, sort in shape[:-1]].count(Sort.NONSTANDARD)
     if (
         system._arities == {len(shape)}
-        and all(map(system._of_sort[shape[0][1]].__getitem__, system._firsts))
-        and all(map(system._of_sort[shape[-1][1]].__getitem__, system._conclusions))
-        and sum(map(len, compress(system._premise_rules, system._of_sort[Sort.NONSTANDARD])))
+        and (of_sort := {sort: bytes(s.sort is sort for s in system._symbols) for sort in Sort})
+        and all(map(of_sort[shape[0][1]].__getitem__, system._firsts))
+        and all(map(of_sort[shape[-1][1]].__getitem__, system._conclusions))
+        and sum(map(len, compress(system._premise_rules, of_sort[Sort.NONSTANDARD])))
         == len(system._conclusions) * nonstandard_positions
         and set(system._conclusions).isdisjoint(system._firsts)
     ):

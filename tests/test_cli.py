@@ -119,13 +119,12 @@ def test_check_records_output(write, capsys):
     assert first[2].startswith("checked=")
 
 
-def test_check_universe_cap(write, capsys):
-    code, _, err = run(capsys, "check", write(NEG), "--universe-cap", "3")
-    assert code == 1
-    assert "5 symbols" in err
-    code, _, err = run(capsys, "check", write(NEG), "--universe-cap", "17")
-    assert code == 1
-    assert "hard cap" in err
+def test_check_refuses_a_universe_over_the_cap(write, capsys):
+    # 17 declared symbols, one more than `tabulate` enumerates
+    names = " ".join(f"a{i}" for i in range(16))
+    code, out, err = run(capsys, "check", write(f"standard: {names}\nnonstandard: l1\nrule: a0 l1 => a1\n"))
+    assert (code, out) == (1, "")
+    assert err == "error: universe has 17 symbols; the cap is 16\n"
 
 
 def test_check_failure_exits_two(write, capsys, monkeypatch):

@@ -124,17 +124,21 @@ def test_parse_builds_one_rule_per_distinct_rule(built_rules):
 
 @given(st.one_of(systems(), named_systems()), st.randoms(use_true_random=False))
 def test_parsed_system_compiles_as_the_public_constructor_does(system, rng):
-    # one compile, two front ends: keys from the parser's names, or from Rules
+    # one compile, three front ends: keys from the parser's names, from
+    # make_system's names, or from Rules, each with its rules repeated
     lines = render_system(system).splitlines()
     rendered_rules = [line for line in lines if line.startswith("rule:")]
     lines += rng.choices(rendered_rules, k=len(system))
     rng.shuffle(lines)
     doc = parse_system("\n".join(lines))
     by_line = {f"rule: {r}": r for r in system.rules}
-    built = LogicSystem(system.language, [by_line[line] for line in lines if line in by_line])
-    for field in ("rules", "_sources", "_symbols", "_ids", "_of_sort", "_premise_rules",
-                  "premise_counts", "_firsts", "_conclusions", "_arities"):
-        assert getattr(doc.system, field) == getattr(built, field), field
+    rules = [by_line[line] for line in lines if line in by_line]
+    built = LogicSystem(system.language, rules)
+    made = make_system(system.language, [([p.name for p in r.premises], r.conclusion.name) for r in rules])
+    for front_end in doc.system, made:
+        for field in ("language", "_keys", "rules", "_symbols", "_ids", "_premise_rules",
+                      "premise_counts", "_firsts", "_conclusions", "_arities"):
+            assert getattr(front_end, field) == getattr(built, field), field
 
 
 @pytest.mark.parametrize(

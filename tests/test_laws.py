@@ -814,9 +814,15 @@ def test_characterization_at_the_widest_matched_lane():
 
 def corpus_rows(script: str) -> list[dict]:
     """The rows of two rounds of a corpus script beside this file, checked
-    to be the same bytes under two hash seeds."""
+    to be the same bytes under two hash seeds and the same bytes as the
+    committed output in `golden/`.  A change that alters the output on
+    purpose regenerates the file, from the root of the repository:
+
+        PYTHONHASHSEED=0 PYTHONPATH=src python tests/laws_corpus.py --rounds 2 > tests/golden/laws_corpus.jsonl
+
+    and likewise for `model_corpus.py` and `parse_corpus.py`."""
     src = str(Path(laws.__file__).resolve().parents[1])
-    outputs = []
+    golden = (Path(__file__).parent / "golden" / script).with_suffix(".jsonl").read_bytes()
     for seed in "0", "7":
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
@@ -825,9 +831,11 @@ def corpus_rows(script: str) -> list[dict]:
             env=env, capture_output=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
-    return [json.loads(row) for row in outputs[0].splitlines()]
+        if done.stdout != golden:  # name the first differing row, not a diff of the whole output
+            got, want = done.stdout.splitlines(), golden.splitlines()
+            row = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), min(len(got), len(want)))
+            pytest.fail(f"hash seed {seed}: row {row + 1} differs from golden/: {got[row:row + 1]} != {want[row:row + 1]}")
+    return [json.loads(row) for row in golden.splitlines()]
 
 
 def test_law_corpus_rows_do_not_depend_on_the_hash_seed():

@@ -292,15 +292,17 @@ def test_make_system_collapses_duplicates():
 
 
 def test_make_system_and_chain_system_build_only_the_kept_rules(built_rules):
-    # both compile keys, as the parser does, and build no rule; the first
-    # `.rules` builds each kept rule once, from its key, in canonical order
+    # both hand their keys, repeats and all, to the one compile, as the
+    # parser does, and build no rule; the first `.rules` builds each kept
+    # rule once, from its key, in canonical order
     lang = make_language({"a1", "b1"}, {"l1"})
     system = make_system(lang, [(("a1", "l1"), "b1"), (["a1"], "b1"), (("l1", "b1", "a1"), "a1")] * 5)
     chain = chain_system([lang.resolve(n) for n in ("b1", "l1", "a1")])
     assert len(system) == 3 and len(chain) == 2 and not built_rules
     assert [str(r) for r in system.rules] == ["a1 => b1", "a1 l1 => b1", "l1 b1 a1 => a1"]
     assert all(map(operator.is_, system.rules, built_rules)) and len(built_rules) == 3
-    assert system._sources.tolist() == [1, 0, 2]
+    assert system._keys == ((1, 0, 1), (2, 0, 2, 1), (3, 2, 1, 0, 0))
+    assert chain._keys == ((1, 1, 2), (1, 2, 0))
     built_rules.clear()
     assert [str(r) for r in chain.rules] == ["b1 => l1", "l1 => a1"]
     assert all(map(operator.is_, chain.rules, built_rules)) and len(built_rules) == 2
@@ -583,13 +585,12 @@ def test_symbols_conclusions_and_passing_shapes_read_only_the_compiled_form(syst
 
 
 @given(st.one_of(systems(), named_systems()), st.randoms(use_true_random=False))
-def test_each_kept_rule_records_its_first_input_position(system, rng):
+def test_repeated_and_shuffled_rules_build_the_same_system(system, rng):
     rules = [*system.rules, *rng.choices(system.rules, k=len(system))]
     rng.shuffle(rules)
     # a generator is read once
     rebuilt = LogicSystem(system.language, (r for r in rules))
-    assert rebuilt == system
-    assert [rules.index(r) for r in rebuilt.rules] == list(rebuilt._sources)
+    assert rebuilt == system and rebuilt._keys == system._keys
 
 
 @given(st.integers(2, 4).flatmap(lambda k: systems(max_rules=8, min_arity=k, max_arity=k)))
@@ -666,7 +667,7 @@ def test_copies_and_pickles_of_a_system_are_equal_systems(text, duplicate):
             system.rules, system.ternary_shape, system.first_premise_index
         twin = duplicate(system)
         assert twin == system and hash(twin) == hash(system)
-        assert twin.rules == system.rules and twin._sources == system._sources
+        assert twin.rules == system.rules and twin._keys == system._keys
         inputs = [frozenset(), *({s} for s in system._symbols), *(r.premise_set for r in system.rules)]
         assert answers(twin, inputs) == answers(system, inputs)
 

@@ -168,6 +168,20 @@ SITES = {
     "parse-set-bytes": (lambda: parse_set(b"a1", LA1), "set text b'a1' is not a str"),
     "parse-set-none": (lambda: parse_set(None, LA1), "set text None is not a str"),
     "render-set-none": (lambda: render_set(None), "argument members is not iterable: None"),
+    # a language that is not a Language is named, not a bare AttributeError
+    "system-language-none": (
+        lambda: LogicSystem(None, [Rule((X,), Y)]),
+        "argument language is not a Language: None",
+    ),
+    "make-system-language-none": (
+        lambda: make_system(None, [(("a1",), "b1")]),
+        "argument language is not a Language: None",
+    ),
+    "make-system-language-str": (
+        lambda: make_system("a1 b1", [(("a1",), "b1")]),
+        "argument language is not a Language: 'a1 b1'",
+    ),
+    "parse-set-language-none": (lambda: parse_set("a1", None), "argument language is not a Language: None"),
 }
 
 
