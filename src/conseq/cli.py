@@ -50,7 +50,7 @@ def _positive_int(text: str) -> int:
 
 
 def _load(path: str) -> SystemDocument:
-    return parse_system(Path(path).read_bytes(), source_name=path)
+    return parse_system(Path(path).read_bytes())
 
 
 def _emit(args: argparse.Namespace, human: str, **fields) -> None:
@@ -122,7 +122,7 @@ def _cmd_influence(args: argparse.Namespace) -> int:
 def _cmd_chain(args: argparse.Namespace) -> int:
     if args.length > CHAIN_CAP:
         raise ConseqError(f"--length {args.length} exceeds the cap of {CHAIN_CAP} rules")
-    symbols = [Symbol(f"{args.prefix}{i}", Sort.STANDARD) for i in range(args.length + 1)]
+    symbols = [Symbol(f"s{i}", Sort.STANDARD) for i in range(args.length + 1)]
     system = chain_system(symbols)
     if args.emit:
         sys.stdout.write(render_system(system))
@@ -178,7 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("chain", _cmd_chain, "generate a linear chain system", file=False)
     p.add_argument("--length", type=_positive_int, required=True, metavar="N",
                    help=f"number of rules (N+1 symbols), at most {CHAIN_CAP}")
-    p.add_argument("--prefix", default="s", help="symbol name prefix (default 's')")
     p.add_argument("--emit", action="store_true", help="print the .lgs document instead of a summary")
 
     add("canon", _cmd_canon, "re-render a document in canonical form")

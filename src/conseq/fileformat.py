@@ -63,7 +63,6 @@ class SystemDocument:
     from: `rule_lines[i]` is the first source line holding `system.rules[i]`
     (a repeated rule is one rule of the system)."""
 
-    source_name: str
     language: Language
     system: LogicSystem
     rule_lines: tuple[int, ...] = field(repr=False)
@@ -126,7 +125,7 @@ def _not_a_directive(line: str, lineno: int) -> None:
                      expected="one of standard, nonstandard, rule")
 
 
-def parse_system(text: str | bytes, source_name: str = "<string>") -> SystemDocument:
+def parse_system(text: str | bytes) -> SystemDocument:
     """Parse .lgs text (or raw bytes) into a validated document.
 
     The first pass splits each directive's payload with `str.split` and
@@ -150,7 +149,7 @@ def parse_system(text: str | bytes, source_name: str = "<string>") -> SystemDocu
             text = _decode(text)
         language, first_lines = _read(text)
         system = LogicSystem._from_keys(language, first_lines)
-    return SystemDocument(source_name, language, system, tuple(map(first_lines.__getitem__, system._keys)))
+    return SystemDocument(language, system, tuple(map(first_lines.__getitem__, system._keys)))
 
 
 class _CollectorPause:

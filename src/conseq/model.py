@@ -43,7 +43,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -352,10 +352,12 @@ class LogicSystem:
     one run, which `influence.weight_ternary` bisects.  Per symbol id s:
     `_premise_rules[s]`, the ascending ids of the rules having s among
     their distinct premises, or the shared `()`; `_arities` holds the
-    arities.  `close`, `symbols`, `conclusions` and a passing shape check
-    read only these.  `premise_index` is a view of them built on first
-    use, sharing the tuples of `_premise_rules`, and `first_premise_index`
-    one built from the keys on the first one-pass query.
+    arities.  `close`, `symbols` and `conclusions` read only these; a shape
+    check decides a pass from `_arities`, `_conclusions` and the columns of
+    `_keys` (see `_mixed_shape`).  `premise_index` is a view of them built
+    on first use, sharing the tuples of `_premise_rules`, and
+    `first_premise_index` one built from the keys on the first one-pass
+    query.
 
     `rules` is built from the keys on first access, one `Rule` per key
     through `_rule`, and cached; a refused shape check builds only the
@@ -562,28 +564,22 @@ def _mixed_shape(system: LogicSystem, label: str) -> ShapeCheck:
     rule.  The disjointness is what rules out chaining: a fired conclusion
     can never enable another rule.
 
-    The compiled form decides.  Only a system of the shape's one arity
-    builds `of_sort`, one byte per id and sort, 1 where the id has that
-    sort, to read each id's sort from; a system of other arities never
-    does.  In both shapes every premise after the first is nonstandard and
-    every conclusion standard, so with one arity and the first premises
-    (`_firsts`) of the right sort, the premise occurrences on nonstandard
-    ids (the lengths of their `_premise_rules`) number exactly the rules
-    times those positions, and only first premises can equal a conclusion.
-    The keys are scanned only when it refuses, to find the first offending
-    rule, which a refused system always has; only the rules the reason
-    names are built.
+    The compiled keys decide, read as columns: column j holds the distinct
+    ids `key[j]` of every key (`key[0]` is the premise count), so with the
+    shape's arity the last column, j == len(shape), is the conclusions.  A
+    system passes when it has the shape's one arity, every id of each
+    column has that position's sort, and every premise column is disjoint
+    from the conclusions.  Columns are built one at a time and each sort
+    test stops at the first wrong id, so an all-standard chain is refused
+    on its first premise column.  The keys are scanned rule by rule only
+    when it refuses, to find the first offending rule, which a refused
+    system always has; only the rules the reason names are built.
     """
-    shape = _SHAPES[label]
-    nonstandard_positions = [sort for _, sort in shape[:-1]].count(Sort.NONSTANDARD)
-    if (
-        system._arities == {len(shape)}
-        and (of_sort := {sort: bytes(s.sort is sort for s in system._symbols) for sort in Sort})
-        and all(map(of_sort[shape[0][1]].__getitem__, system._firsts))
-        and all(map(of_sort[shape[-1][1]].__getitem__, system._conclusions))
-        and sum(map(len, compress(system._premise_rules, of_sort[Sort.NONSTANDARD])))
-        == len(system._conclusions) * nonstandard_positions
-        and set(system._conclusions).isdisjoint(system._firsts)
+    shape, symbols = _SHAPES[label], system._symbols
+    if system._arities == {len(shape)} and all(
+        all(symbols[s].sort is sort for s in column) and (j == len(shape) or column.isdisjoint(system._conclusions))
+        for j, (_, sort) in enumerate(shape, 1)
+        for column in [set(map(itemgetter(j), system._keys))]
     ):
         return ShapeCheck(True)
     symbol, rule = system._symbols.__getitem__, system._rule
@@ -608,8 +604,9 @@ def is_mixed_ternary(system: LogicSystem) -> ShapeCheck:
 
 
 def is_mixed_binary(system: LogicSystem) -> ShapeCheck:
-    """Recognize the mixed binary shape, nonstandard => standard; premises
-    and conclusions are disjoint because the sorts are.  See `_mixed_shape`."""
+    """Recognize the mixed binary shape, nonstandard => standard.  Its sorts
+    keep premises and conclusions apart, but `_mixed_shape` tests the
+    disjointness all the same, as for every shape."""
     return _mixed_shape(system, "binary")
 
 

@@ -228,11 +228,11 @@ def test_influence_premise_flag_needs_ternary_rules(write, capsys):
 
 
 def test_chain_summary_and_emit(capsys):
-    code, out, _ = run(capsys, "chain", "--length", "4", "--prefix", "s")
+    code, out, _ = run(capsys, "chain", "--length", "4")
     assert code == 0
     assert "5 symbols, 4 rules" in out
 
-    code, out, _ = run(capsys, "chain", "--length", "4", "--prefix", "s", "--emit")
+    code, out, _ = run(capsys, "chain", "--length", "4", "--emit")
     assert code == 0
     doc = parse_system(out)
     assert len(doc.system) == 4
@@ -266,13 +266,6 @@ def test_chain_rejects_length_over_the_cap(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert f"cap of {CHAIN_CAP}" in err
-
-
-def test_chain_rejects_prefix_outside_the_name_grammar(capsys):
-    code, out, err = run(capsys, "chain", "--length", "2", "--prefix", "a-b", "--emit")
-    assert code == 1
-    assert out == ""
-    assert "'a-b0'" in err
 
 
 @pytest.mark.parametrize(

@@ -44,14 +44,14 @@ def test_parse_basic_document():
     assert len(doc.system) == 1
     assert is_mixed_ternary(doc.system)
     assert doc.language.resolve("l1").sort is Sort.NONSTANDARD
-    assert doc.source_name == "<string>"
+    assert doc.rule_lines == (3,)
 
 
 def test_parse_accepts_bytes_comments_blanks_and_crlf():
     raw = b"# chain\r\n\r\nstandard: a1 b1\r\nnonstandard: l1\r\nrule: a1 l1 => b1\r\n"
-    doc = parse_system(raw, source_name="doc.lgs")
+    doc = parse_system(raw)
     assert doc.system == parse_system(BASIC).system
-    assert doc.source_name == "doc.lgs"
+    assert doc.rule_lines == (5,)
 
 
 def test_declarations_accumulate_across_lines():

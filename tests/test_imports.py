@@ -6,8 +6,9 @@ the code, named in a string annotation, or listed in `__all__`.  The same
 reading checks that the parser creates symbols only through
 `make_language`, that every private function, class and method of the
 package is used somewhere in it, that every error class is raised outside
-`errors.py`, and that `conseq.__all__` lists exactly what `__init__.py`
-imports.
+`errors.py`, that every attribute `LogicSystem._compile` sets is read
+elsewhere in the package, and that `conseq.__all__` lists exactly what
+`__init__.py` imports.
 """
 
 import ast
@@ -151,3 +152,27 @@ def test_all_lists_exactly_what_the_package_imports():
     imported = [name for name, _ in imported_names(tree)]
     assert len(conseq.__all__) == len(set(conseq.__all__))
     assert sorted(conseq.__all__) == sorted(imported)
+
+
+def test_every_compiled_attribute_has_a_reader():
+    # a compiled column that nothing reads any more fails here; the reads
+    # inside `LogicSystem._compile` itself do not count
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    model = trees[MODULES.index(PACKAGE / "model.py")]
+    system = next(node for node in model.body if isinstance(node, ast.ClassDef) and node.name == "LogicSystem")
+    compile_ = next(node for node in system.body if isinstance(node, ast.FunctionDef) and node.name == "_compile")
+    inside = set(ast.walk(compile_))
+    names = [
+        node.args[1].value
+        for node in inside
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "put"
+    ]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node not in inside
+    }
+    assert len(names) >= 9
+    unread = [name for name in names if name not in read]
+    assert not unread, f"attributes LogicSystem._compile sets that nothing reads: {', '.join(unread)}"

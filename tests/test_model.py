@@ -467,6 +467,71 @@ def test_mixed_binary_rejects_nonstandard_conclusion():
     assert "conclusion l2" in check.reason
 
 
+# Shapes beyond the two one-pass ones, where a premise after the first may
+# be standard: the recognizer must test its definition, not the sorts of
+# the two shapes it ships with.
+EXTRA_SHAPES = {
+    "plain": (("first premise", Sort.STANDARD), ("second premise", Sort.STANDARD), ("conclusion", Sort.STANDARD)),
+    "anchored": (("first premise", Sort.NONSTANDARD), ("second premise", Sort.STANDARD),
+                 ("conclusion", Sort.STANDARD)),
+}
+
+
+def test_a_premise_after_the_first_that_is_a_conclusion_refuses_any_shape(monkeypatch):
+    for label, shape in EXTRA_SHAPES.items():
+        monkeypatch.setitem(model._SHAPES, label, shape)
+    lang = make_language({"a", "b", "c", "d"}, {"l"})
+    chaining = make_system(lang, [(("a", "b"), "c"), (("a", "c"), "d")])
+    check = model._mixed_shape(chaining, "plain")
+    assert not check
+    assert check.reason == "premise c of rule (a c => d) equals conclusion of rule (a b => c)"
+    anchored = make_system(lang, [(("l", "a"), "c"), (("l", "c"), "d")])
+    check = model._mixed_shape(anchored, "anchored")
+    assert not check
+    assert check.reason == "premise c of rule (l c => d) equals conclusion of rule (l a => c)"
+    assert model._mixed_shape(make_system(lang, [(("l", "a"), "c"), (("l", "b"), "d")]), "anchored")
+
+
+def breaks_shape_by_scan(system, shape):
+    """Whether some rule breaks `shape` by the definition: a wrong arity, a
+    position of the wrong sort, or a premise that some rule concludes."""
+    conclusions = {r.conclusion for r in system.rules}
+    return any(
+        r.arity != len(shape)
+        or any(s.sort is not sort for s, (_, sort) in zip((*r.premises, r.conclusion), shape))
+        or any(p in conclusions for p in r.premises)
+        for r in system.rules
+    )
+
+
+@st.composite
+def sorted_like_a_shape(draw):
+    """Systems whose rules take each position's name from the sort some
+    shape gives it, or, in half of them, from either sort; one standard
+    name, b0, may be both a premise and a conclusion."""
+    shape = draw(st.sampled_from([*model._SHAPES.values(), *EXTRA_SHAPES.values()]))
+    premises = {Sort.STANDARD: ["a0", "a1", "b0"], Sort.NONSTANDARD: ["l0", "l1"]}
+    conclusions = {Sort.STANDARD: ["b0", "b1"], Sort.NONSTANDARD: ["l1"]}
+    if draw(st.booleans()):
+        premises = conclusions = dict.fromkeys(Sort, ["a0", "b0", "l0"])
+    rule = st.tuples(st.tuples(*(st.sampled_from(premises[sort]) for _, sort in shape[:-1])),
+                     st.sampled_from(conclusions[shape[-1][1]]))
+    lang = make_language({"a0", "a1", "b0", "b1"}, {"l0", "l1"})
+    return make_system(lang, draw(st.lists(rule, min_size=1, max_size=4)))
+
+
+@settings(max_examples=300)
+@given(st.one_of(systems(), sorted_like_a_shape()))
+def test_every_shape_passes_exactly_the_systems_of_its_definition(system):
+    with pytest.MonkeyPatch.context() as patch:
+        for label, shape in EXTRA_SHAPES.items():
+            patch.setitem(model._SHAPES, label, shape)
+        for label, shape in model._SHAPES.items():
+            check = model._mixed_shape(system, label)
+            assert check.ok == (not breaks_shape_by_scan(system, shape))
+            assert (check.reason is None) == check.ok
+
+
 @given(systems())
 def test_language_parts_disjoint_by_name(system):
     std = {s.name for s in system.language.standard_part}
