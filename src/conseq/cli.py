@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .closure import chain_system, close, closed_form_binary, closed_form_ternary
+from .closure import chain_system, close, step
 from .errors import ConseqError, PreconditionViolated
 from .fileformat import parse_set, parse_system, render_set, render_system, SystemDocument
 from .influence import weight_binary, weight_ternary
@@ -77,17 +77,14 @@ def _cmd_close(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     x = parse_set(args.input, doc.language)
     if args.fastpath:
-        ternary = doc.system.ternary_shape
-        binary = doc.system.binary_shape
-        if ternary:
-            result = closed_form_ternary(doc.system, x)
-        elif binary:
-            result = closed_form_binary(doc.system, x)
-        else:
+        # the binary shape is read only when the ternary one refuses
+        system = doc.system
+        if not (system.ternary_shape or system.binary_shape):
             raise PreconditionViolated(
-                f"--fastpath refused: not mixed ternary ({ternary.reason}); "
-                f"not mixed binary ({binary.reason})"
+                f"--fastpath refused: not mixed ternary ({system.ternary_shape.reason}); "
+                f"not mixed binary ({system.binary_shape.reason})"
             )
+        result = step(system, x)
     else:
         result = close(doc.system, x)
     _emit(args, render_set(result), result=render_set(result), size=len(result))
@@ -123,16 +120,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     if args.length > CHAIN_CAP:
         raise ConseqError(f"--length {args.length} exceeds the cap of {CHAIN_CAP} rules")
     symbols = [Symbol(f"s{i}", Sort.STANDARD) for i in range(args.length + 1)]
-    system = chain_system(symbols)
-    if args.emit:
-        sys.stdout.write(render_system(system))
-    else:
-        _emit(
-            args,
-            f"chain: {len(symbols)} symbols, {len(system)} rules",
-            symbols=len(symbols),
-            rules=len(system),
-        )
+    sys.stdout.write(render_system(chain_system(symbols)))
     return 0
 
 
@@ -175,10 +163,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conclusion", required=True, metavar="NAME")
     p.add_argument("--premise", metavar="NAME", help="anchor premise (ternary systems)")
 
-    p = add("chain", _cmd_chain, "generate a linear chain system", file=False)
+    p = add("chain", _cmd_chain, "print a linear chain system as a .lgs document", file=False)
     p.add_argument("--length", type=_positive_int, required=True, metavar="N",
                    help=f"number of rules (N+1 symbols), at most {CHAIN_CAP}")
-    p.add_argument("--emit", action="store_true", help="print the .lgs document instead of a summary")
 
     add("canon", _cmd_canon, "re-render a document in canonical form")
     return parser

@@ -5,8 +5,8 @@ The generated operator works with two rules only: every hypothesis is kept
 is deduced (coordinate rule).  `close` computes the least fixpoint of that
 process.  Both evaluation strategies live here:
 
-* `close_naive` repeats simultaneous full passes until nothing changes; it is
-  the readable reference.
+* `close_naive` repeats `step`, one simultaneous pass, until nothing
+  changes; it is the readable reference.
 * `close` is semi-naive: each symbol is processed once, decrementing a
   per-rule count of still-missing premises, so only rules that just gained a
   premise are re-examined.  Runtime is linear in total premise occurrences.
@@ -14,15 +14,15 @@ process.  Both evaluation strategies live here:
   tuple of rule ids per premise symbol and per-rule counts), marks seen
   symbols in a bytearray, and builds `Symbol`s only for the result.
 
-For systems whose premise symbols never occur as conclusions, a fired
-conclusion can never enable another rule, so a single pass already reaches
-the fixpoint; `closed_form_ternary` / `closed_form_binary` are those guarded
-shortcuts.  Both share one pass, `_one_pass`, which looks only at the rules
-whose first premise is in X (through `LogicSystem.first_premise_index`), so
-a query costs time in the rules it can reach, not in the size of the
-system.  They are fast paths, never the definition: callers must fall back
-to `close` when the shape recognizer refuses.  `step` and `close_naive` stay
-the readable full-scan reference that the tests compare them against.
+`step` is one application of the coordinate rule after insertion.  It looks
+only at the rules whose first premise is in X (through
+`LogicSystem.first_premise_index`), so a query costs time in the rules it can
+reach, not in the size of the system.  For systems whose premise symbols
+never occur as conclusions, a fired conclusion can never enable another
+rule, so that single pass already reaches the fixpoint;
+`closed_form_ternary` / `closed_form_binary` are `step` behind those shape
+guards.  They are fast paths, never the definition: callers must fall back
+to `close` when the shape recognizer refuses.
 """
 
 from __future__ import annotations
@@ -55,11 +55,14 @@ def step(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
     """One simultaneous application of the coordinate rule after insertion.
 
     Returns X together with the conclusion of every rule whose premise set
-    is already contained in X.
+    is already contained in X.  Only the rules filed under a member of X in
+    `first_premise_index` are tested, which is exact for every system: a
+    rule whose first premise is outside X cannot have its premise set inside
+    X.  Each rule is looked at once at most, and no `Rule` is built.
     """
     x = _deduction_set(system, members)
-    fired = {r.conclusion for r in system.rules if r.premise_set <= x}
-    return x | fired
+    index = system.first_premise_index
+    return x | {c for s in x for premises, c in index.get(s, ()) if premises <= x}
 
 
 def close(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
@@ -107,18 +110,6 @@ def close_naive(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
         x = nxt
 
 
-def _one_pass(system: LogicSystem, x: DeductionSet) -> DeductionSet:
-    """X plus the conclusion of every rule whose premise set lies inside X.
-
-    This is `step` restricted to the rules reachable through
-    `first_premise_index` from X: a rule whose first premise is outside X
-    cannot have its premise set inside X, so no other rule can fire.  Each
-    rule is looked at once at most.
-    """
-    index = system.first_premise_index
-    return x | {c for s in x for premises, c in index.get(s, ()) if premises <= x}
-
-
 def closed_form_ternary(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
     """Value of the operator for a mixed ternary system, in one pass.
 
@@ -127,14 +118,14 @@ def closed_form_ternary(system: LogicSystem, members: Iterable[Symbol]) -> Deduc
     whose premise set lies inside X is already closed.
     """
     _require_shape(system.ternary_shape, "ternary")
-    return _one_pass(system, _deduction_set(system, members))
+    return step(system, members)
 
 
 def closed_form_binary(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
     """One-pass value for a mixed binary system: X plus the conclusion of
     every rule whose single premise is in X."""
     _require_shape(system.binary_shape, "binary")
-    return _one_pass(system, _deduction_set(system, members))
+    return step(system, members)
 
 
 def chain_system(elements: Sequence[Symbol]) -> LogicSystem:

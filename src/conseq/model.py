@@ -356,8 +356,9 @@ class LogicSystem:
     check decides a pass from `_arities`, `_conclusions` and the columns of
     `_keys` (see `_mixed_shape`).  `premise_index` is a view of them built
     on first use, sharing the tuples of `_premise_rules`, and
-    `first_premise_index` one built from the keys on the first one-pass
-    query.
+    `first_premise_index` one built from the keys on the first
+    `closure.step` (which the one-pass closed forms and `close_naive`
+    call).
 
     `rules` is built from the keys on first access, one `Rule` per key
     through `_rule`, and cached; a refused shape check builds only the
@@ -454,11 +455,12 @@ class LogicSystem:
         """Maps each symbol to the (premise set, conclusion) of the rules whose
         first premise it is.
 
-        Every rule appears under exactly one key.  The one-pass closed forms
-        walk this index from the members of X, so a query looks only at the
-        rules whose first premise is in X, not at every rule, and tests each
+        Every rule appears under exactly one key.  `closure.step` walks this
+        index from the members of X, so a query looks only at the rules
+        whose first premise is in X, not at every rule, and tests each
         against a premise set hashed once here.  Built lazily on the first
-        one-pass query; `close` never needs it.
+        `step`, which the one-pass closed forms and `close_naive` call;
+        `close` never needs it.
         """
         at = self._symbols.__getitem__
         index: dict[Symbol, list[tuple[frozenset[Symbol], Symbol]]] = {}

@@ -3,7 +3,8 @@
 The hypothesis composites shrink nicely and drive the property tests; the
 `random_*` builders take a `random.Random` and are used where a test needs
 hundreds of systems fast (the acceptance suite).  `unscannable` makes a
-copy of a system whose answers must come from its compiled form.
+copy of a system whose answers must come from its compiled form, and
+`scan_step` is the full-scan oracle for `step`.
 """
 
 import random
@@ -165,3 +166,9 @@ def unscannable(system: LogicSystem) -> LogicSystem:
     blind = LogicSystem(system.language, system.rules)
     object.__setattr__(blind, "rules", Unscannable())
     return blind
+
+
+def scan_step(system: LogicSystem, x: frozenset) -> frozenset:
+    """`step` by its definition: X plus the conclusion of every rule whose
+    premise set lies inside X, found by scanning all the rules."""
+    return x | {r.conclusion for r in system.rules if r.premise_set <= x}

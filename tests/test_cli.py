@@ -73,7 +73,10 @@ def test_close_fastpath_refused_on_chaining_system(write, capsys):
     code, out, err = run(capsys, "close", write(NEG), "--input", "a1,l1,l2", "--fastpath")
     assert code == 1
     assert out == ""
-    assert "--fastpath refused" in err
+    assert err == (
+        "error: --fastpath refused: not mixed ternary (premise b1 of rule (b1 l2 => b2) equals "
+        "conclusion of rule (a1 l1 => b1)); not mixed binary (rule (a1 l1 => b1) is not binary)\n"
+    )
 
 
 def test_close_fastpath_on_ternary_system(write, capsys):
@@ -83,6 +86,16 @@ def test_close_fastpath_on_ternary_system(write, capsys):
     assert code_fast == code_slow == 0
     assert out_fast == out_slow
     assert out_fast.strip() == "a1,b1,*l1"
+
+
+def test_close_fastpath_reads_the_binary_shape_only_when_ternary_refuses(write, capsys, monkeypatch):
+    def no_binary_check(system):
+        raise AssertionError("the binary shape was read")
+
+    monkeypatch.setattr(conseq.model, "is_mixed_binary", no_binary_check)
+    code, out, _ = run(capsys, "close", write(TERNARY), "--input", "a1,l1", "--fastpath")
+    assert code == 0
+    assert out.strip() == "a1,b1,*l1"
 
 
 def test_close_fastpath_on_binary_system(write, capsys):
@@ -227,22 +240,12 @@ def test_influence_premise_flag_needs_ternary_rules(write, capsys):
     assert "not ternary" in err
 
 
-def test_chain_summary_and_emit(capsys):
+def test_chain_emits_its_document(capsys):
     code, out, _ = run(capsys, "chain", "--length", "4")
-    assert code == 0
-    assert "5 symbols, 4 rules" in out
-
-    code, out, _ = run(capsys, "chain", "--length", "4", "--emit")
     assert code == 0
     doc = parse_system(out)
     assert len(doc.system) == 4
     assert {s.name for s in doc.language.symbols} == {f"s{i}" for i in range(5)}
-
-
-def test_chain_records_output(capsys):
-    code, out, _ = run(capsys, "chain", "--length", "3", "--output", "records")
-    assert code == 0
-    assert out.strip() == "symbols=4 rules=3"
 
 
 def test_chain_rejects_bad_length(capsys):
@@ -270,7 +273,7 @@ def test_chain_rejects_length_over_the_cap(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv, status, stream",
-    [(["chain", "--length", "1"], 0, "2 symbols, 1 rules"), (["no-such-command"], 1, "invalid choice")],
+    [(["chain", "--length", "1"], 0, "rule: s0 => s1"), (["no-such-command"], 1, "invalid choice")],
 )
 def test_entry_exits_with_the_status_of_main(capsys, monkeypatch, argv, status, stream):
     # the console script's entry point reads sys.argv and exits with main's code

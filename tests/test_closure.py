@@ -1,14 +1,15 @@
 """Fixpoint closure, the one-pass closed forms, and chain systems.
 
 The closed forms are fast paths, never the definition, so most properties
-here compare them against `close` (and `close` against `close_naive`).
+here compare them against `close` (and `close` against `close_naive`, and
+`step` against a scan of every rule).
 """
 
 import gc
 from itertools import chain as ichain, combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conseq import (
     DuplicateElement,
@@ -30,8 +31,11 @@ from conseq import (
     weight_ternary,
 )
 from strategies import (
+    chaining_ternary_systems,
     mixed_binary_systems,
     mixed_ternary_systems,
+    scan_step,
+    system_inputs,
     systems_with_input,
 )
 
@@ -63,6 +67,36 @@ def test_step_on_chain_moves_one_link():
     s = [Symbol(f"s{i}", Sort.STANDARD) for i in range(3)]
     system = chain_system(s)
     assert step(system, {s[0]}) == {s[0], s[1]}
+
+
+def test_step_fires_a_rule_with_a_repeated_premise():
+    lang = make_language({"a1", "b1"}, set())
+    system = make_system(lang, [(("a1", "a1"), "b1")])
+    a1, b1 = lang.resolve("a1"), lang.resolve("b1")
+    assert step(system, {a1}) == {a1, b1} == scan_step(system, frozenset({a1}))
+
+
+def test_step_finds_a_rule_under_its_written_first_premise():
+    # ids number symbols by name, so l1 is not the rule's smallest id, yet
+    # the index files the rule under l1, its written first premise
+    lang = make_language({"a1", "b1"}, {"l1"})
+    system = make_system(lang, [(("l1", "a1"), "b1")])
+    a1, b1, l1 = map(lang.resolve, ("a1", "b1", "l1"))
+    assert list(system.first_premise_index) == [l1]
+    for x in (frozenset(), frozenset({a1}), frozenset({l1}), frozenset({a1, l1})):
+        assert step(system, x) == scan_step(system, x)
+    assert step(system, {a1, l1}) == {a1, b1, l1}
+
+
+@given(
+    st.one_of(
+        systems_with_input(),
+        chaining_ternary_systems().flatmap(lambda s: st.tuples(st.just(s), system_inputs(s))),
+    )
+)
+def test_step_equals_the_full_rule_scan(case):
+    system, x = case
+    assert step(system, x) == scan_step(system, x)
 
 
 def test_close_chain_from_head_reaches_everything():
@@ -206,13 +240,15 @@ def test_first_premise_index_is_built_only_by_a_one_pass_query():
     lang = make_language({"a1", "b1", "b2"}, {"l1", "l2"})
     chaining = make_system(lang, [(("a1", "l1"), "b1"), (("b1", "l2"), "b2")])
     # Set-up, the shape recognizers and `close` leave it unbuilt, and so
-    # does a one-pass query that the shape guard refuses.
+    # does a one-pass query that the shape guard refuses; `step` builds it.
     assert chaining.premise_index and chaining.premise_counts
     assert not chaining.binary_shape
     close(chaining, {lang.resolve("a1")})
     with pytest.raises(PreconditionViolated):
         closed_form_ternary(chaining, frozenset())
     assert "first_premise_index" not in vars(chaining)
+    step(chaining, {lang.resolve("a1")})
+    assert "first_premise_index" in vars(chaining)
     ternary = make_system(lang, [(("a1", "l1"), "b1"), (("a1", "l2"), "b2")])
     closed_form_ternary(ternary, frozenset())
     assert "first_premise_index" in vars(ternary)

@@ -549,7 +549,7 @@ def test_failing_rows_on_chaining_systems_name_witnesses_that_break_their_law(sy
     # table, which only a chaining system makes differ from it
     vars(system)["ternary_shape"] = ShapeCheck(True)
     report, engine = verify_with_engine(system)
-    # the plain rule scan, not tabulate: the engine may be tabulate's table
+    # `close_naive`, not tabulate: the engine may be tabulate's table
     subsets = all_subsets(engine.universe)
     assert all(engine.image(x) == close_naive(system, x) for x in subsets)
     one_pass_is_closure = all(close(system, x) == step(system, x) for x in subsets)

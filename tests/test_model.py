@@ -32,6 +32,7 @@ from conseq import (
     chain_system,
     check_axioms,
     close,
+    close_naive,
     closed_form_binary,
     closed_form_ternary,
     is_mixed_binary,
@@ -39,6 +40,7 @@ from conseq import (
     make_language,
     make_system,
     parse_system,
+    step,
     tabulate,
     verify_closed_form_characterization,
     weight_binary,
@@ -684,6 +686,8 @@ def answers(system, inputs):
         "len": len(system),
         "shapes": (is_mixed_ternary(system), is_mixed_binary(system)),
         "close": [close(system, x) for x in inputs],
+        "step": [step(system, x) for x in inputs],
+        "close_naive": [close_naive(system, x) for x in inputs],
         "ternary": [outcome(lambda: closed_form_ternary(system, x)) for x in inputs],
         "binary": [outcome(lambda: closed_form_binary(system, x)) for x in inputs],
         "first_premise_index": system.first_premise_index,
