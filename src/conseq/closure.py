@@ -3,23 +3,21 @@
 The generated operator works with two rules only: every hypothesis is kept
 (insertion), and whenever all premises of a rule are deduced its conclusion
 is deduced (coordinate rule).  `close` computes the least fixpoint of that
-process.  Both evaluation strategies live here:
-
-* `close_naive` repeats `step`, one simultaneous pass, until nothing
-  changes; it is the readable reference.
-* `close` is semi-naive: each symbol is processed once, decrementing a
-  per-rule count of still-missing premises, so only rules that just gained a
-  premise are re-examined.  Runtime is linear in total premise occurrences.
-  It runs on the integer ids a `LogicSystem` compiles at construction (a
-  tuple of rule ids per premise symbol and per-rule counts), marks seen
-  symbols in a bytearray, and builds `Symbol`s only for the result.
+process semi-naively: each symbol is processed once, decrementing a per-rule
+count of still-missing premises, so only rules that just gained a premise
+are re-examined.  Runtime is linear in total premise occurrences.  It runs
+on the integer ids a `LogicSystem` compiles at construction (a tuple of rule
+ids per premise symbol and per-rule counts), marks seen symbols in a
+bytearray, and builds `Symbol`s only for the result.  The tests check it
+against a plain iteration of a full rule scan, which lives with them.
 
 `step` is one application of the coordinate rule after insertion.  It looks
 only at the rules whose first premise is in X (through
-`LogicSystem.first_premise_index`), so a query costs time in the rules it can
-reach, not in the size of the system.  For systems whose premise symbols
-never occur as conclusions, a fired conclusion can never enable another
-rule, so that single pass already reaches the fixpoint;
+`LogicSystem._first_premise_index`), so a query costs time in the rules it
+can reach, not in the size of the system; a rule of at most two distinct
+premises costs one membership test of its other premise.  For systems whose
+premise symbols never occur as conclusions, a fired conclusion can never
+enable another rule, so that single pass already reaches the fixpoint;
 `closed_form_ternary` / `closed_form_binary` are `step` behind those shape
 guards.  They are fast paths, never the definition: callers must fall back
 to `close` when the shape recognizer refuses.
@@ -30,7 +28,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DuplicateElement, LanguageMismatch, TooShort
-from .model import Language, LogicSystem, Sort, Symbol, _require_shape, _require_symbols, _tuple_of, symbol_key
+from .model import Language, LogicSystem, Sort, Symbol, _tuple_of, symbol_key
+from .model import _require_instance, _require_shape, _require_symbols
 
 # Deduction sets are plain frozensets of symbols over the system's language;
 # mixing sorts is fine.
@@ -42,9 +41,14 @@ def _deduction_set(system: LogicSystem, members: Iterable[Symbol]) -> DeductionS
         x = frozenset(members)
     except TypeError as e:  # costs nothing unless raised
         raise LanguageMismatch(f"a member is not a Symbol: {e}") from None
-    if not x <= system.language.symbols:
+    try:
+        symbols = system.language.symbols
+    except AttributeError:
+        _require_instance(system, LogicSystem, "system", "a LogicSystem")
+        raise
+    if not x <= symbols:
         _require_symbols(x)
-        stray = min(x - system.language.symbols, key=symbol_key)
+        stray = min(x - symbols, key=symbol_key)
         raise LanguageMismatch(
             f"symbol {stray.name!r} ({stray.sort.value}) is not in the system's language"
         )
@@ -56,21 +60,23 @@ def step(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
 
     Returns X together with the conclusion of every rule whose premise set
     is already contained in X.  Only the rules filed under a member of X in
-    `first_premise_index` are tested, which is exact for every system: a
+    `_first_premise_index` are tested, which is exact for every system: a
     rule whose first premise is outside X cannot have its premise set inside
-    X.  Each rule is looked at once at most, and no `Rule` is built.
+    X.  A rule of at most two distinct premises fires when its other premise
+    is in X; only a system with rules of three or more tests premise sets.
+    Each rule is looked at once at most, and no `Rule` is built.
     """
     x = _deduction_set(system, members)
-    index = system.first_premise_index
-    return x | {c for s in x for premises, c in index.get(s, ()) if premises <= x}
+    pairs, wide = system._first_premise_index
+    y = x | {c for s in x if s in pairs for o, c in pairs[s] if o in x}
+    return y | {c for s in x for premises, c in wide.get(s, ()) if premises <= x} if wide else y
 
 
 def close(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
     """Smallest superset of the input closed under all rules (semi-naive).
 
     Keeps a countdown of missing premises per rule; a rule fires exactly when
-    its count reaches zero, and each symbol is queued at most once.  Always
-    equals `close_naive`.
+    its count reaches zero, and each symbol is queued at most once.
     """
     x = _deduction_set(system, members)
     premise_rules, conclusions = system._premise_rules, system._conclusions
@@ -91,25 +97,6 @@ def close(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
     return x.union(map(system._symbols.__getitem__, queue[len(x) :]))
 
 
-def close_naive(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
-    """Reference evaluation: iterate `step` to its fixpoint.
-
-    Every productive round adds at least one conclusion symbol, so the round
-    count is bounded by the number of distinct conclusions; that bound is
-    asserted as an internal sanity check.
-    """
-    x = _deduction_set(system, members)
-    max_rounds = len(system.conclusions) + 1
-    rounds = 0
-    while True:
-        nxt = step(system, x)
-        rounds += 1
-        assert rounds <= max_rounds, "closure exceeded its round bound"
-        if nxt == x:
-            return nxt
-        x = nxt
-
-
 def closed_form_ternary(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
     """Value of the operator for a mixed ternary system, in one pass.
 
@@ -117,14 +104,14 @@ def closed_form_ternary(system: LogicSystem, members: Iterable[Symbol]) -> Deduc
     guarantees no chaining, so X extended with the conclusions of all rules
     whose premise set lies inside X is already closed.
     """
-    _require_shape(system.ternary_shape, "ternary")
+    _require_shape(system, "ternary")
     return step(system, members)
 
 
 def closed_form_binary(system: LogicSystem, members: Iterable[Symbol]) -> DeductionSet:
     """One-pass value for a mixed binary system: X plus the conclusion of
     every rule whose single premise is in X."""
-    _require_shape(system.binary_shape, "binary")
+    _require_shape(system, "binary")
     return step(system, members)
 
 

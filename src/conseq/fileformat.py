@@ -50,8 +50,8 @@ from .errors import (
     ParseError,
     UnknownSymbol,
 )
-from .model import NAME_RE, Language, LogicSystem, Sort, Symbol, make_language, symbol_key
-from .model import _NONSTANDARD, _STANDARD, _first_bad_name, _language_attr, _require_symbols, _tuple_of
+from .model import NAME_RE, Language, LogicSystem, Sort, Symbol, _tuple_of, make_language, symbol_key
+from .model import _NONSTANDARD, _STANDARD, _first_bad_name, _language_attr, _require_instance, _require_symbols
 
 TOKEN_RE = re.compile(r"\S+")
 KEYWORDS = ("standard", "nonstandard", "rule")
@@ -268,7 +268,11 @@ def render_system(doc: "SystemDocument | LogicSystem") -> str:
     order inside each rule preserved.  Round-trips through parse_system.
     """
     system = doc.system if isinstance(doc, SystemDocument) else doc
-    language = system.language
+    try:
+        language = system.language
+    except AttributeError:
+        _require_instance(doc, LogicSystem, "doc", "a SystemDocument or LogicSystem")
+        raise
     lines = ["standard: " + " ".join(sorted(s.name for s in language.standard_part))]
     if language.nonstandard_part:
         lines.append(

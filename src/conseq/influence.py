@@ -27,7 +27,7 @@ from itertools import compress, repeat
 from operator import eq
 
 from .errors import InvalidValue, PreconditionViolated, UnknownSymbol
-from .model import LogicSystem, Rule, Symbol, _require_symbols
+from .model import LogicSystem, Rule, Symbol, _require_instance, _require_symbols
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,12 @@ def _require_symbol(system: LogicSystem, s: Symbol) -> None:
 
 def _require_uniform_arity(system: LogicSystem, arity: int, label: str) -> None:
     # O(1) when it passes; a failing check scans to name the first bad rule
-    if system._arities != {arity}:
+    try:
+        arities = system._arities
+    except AttributeError:
+        _require_instance(system, LogicSystem, "system", "a LogicSystem")
+        raise
+    if arities != {arity}:
         key = next(k for k in system._keys if k[0] + 1 != arity)
         raise PreconditionViolated(f"rule ({system._rule(key)}) is not {label}")
 

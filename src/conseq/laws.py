@@ -75,7 +75,7 @@ from .errors import (
     UniverseTooLarge,
 )
 from .fileformat import render_set
-from .model import LogicSystem, Symbol, _require_shape, _require_symbols, _tuple_of, symbol_key
+from .model import LogicSystem, Symbol, _require_instance, _require_shape, _require_symbols, _tuple_of, symbol_key
 
 UNIVERSE_CAP = 16
 
@@ -404,7 +404,12 @@ def tabulate(system: LogicSystem, universe: Iterable[Symbol]) -> OperatorTable:
     """
     syms = _universe(universe)
     n = len(syms)
-    if missing := system.symbols - set(syms):
+    try:
+        missing = system.symbols - set(syms)
+    except AttributeError:
+        _require_instance(system, LogicSystem, "system", "a LogicSystem")
+        raise
+    if missing:
         raise UniverseIncomplete(f"universe is missing system symbol {min(missing, key=symbol_key).name!r}")
     if outside := set(syms) - system.language.symbols:
         raise LanguageMismatch(f"universe symbol {min(outside, key=symbol_key).name!r} is not in the system's language")
@@ -422,7 +427,11 @@ def check_axioms(table: OperatorTable) -> LawReport:
     Each law is decided by one whole-table test on the table's packing;
     the masks are walked only when it fails, to name the first witness.
     """
-    images = list(table.images)
+    try:
+        images = list(table.images)
+    except AttributeError:
+        _require_instance(table, OperatorTable, "table", "an OperatorTable")
+        raise
     return _axioms(table, images, list(map(images.__getitem__, images)))
 
 
@@ -474,8 +483,9 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     satisfy the four closure-operator laws and equal the engine's table.
     The engine's table is `tabulate`'s, the fixpoints of that same one-pass
     table, so the equality says that one pass is already a fixpoint, which
-    is the theorem's content.  That the engine's table matches the plain
-    rule scan of `close_naive` is checked by the tests, not here.
+    is the theorem's content.  That the engine's table matches the closure
+    by a plain iteration of the full rule scan is checked by the tests,
+    not here.
 
     The fixpoints are the one-pass table itself exactly when that table is
     idempotent, which every system that passes the shape check is;
@@ -493,7 +503,7 @@ def verify_closed_form_characterization(system: LogicSystem) -> LawReport:
     exactly when U(m) lies within U(m'), since each of them lies within
     U(m), hence within m'.  So `matched-count` reads U on covering pairs.
     """
-    _require_shape(system.ternary_shape, "ternary")
+    _require_shape(system, "ternary")
     syms = _universe(system.symbols, "system uses")
     n = len(syms)
     full = 1 << n

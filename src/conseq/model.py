@@ -218,8 +218,16 @@ def _language_attr(language: Language, name: str):
     """`language`'s attribute `name`; only once the lookup has failed,
     InvalidValue saying that `language` is not a Language."""
     if (value := getattr(language, name, None)) is None:
-        raise InvalidValue(f"argument language is not a Language: {language!r}")
+        _require_instance(language, Language, "language", "a Language")
     return value
+
+
+def _require_instance(value: object, kind: type | tuple[type, ...], argument: str, noun: str) -> None:
+    """InvalidValue saying that `argument` is not `noun` unless `value` is a
+    `kind`.  Called only once an attribute lookup on `value` has failed, so
+    the normal path pays nothing for it."""
+    if not isinstance(value, kind):
+        raise InvalidValue(f"argument {argument} is not {noun}: {value!r}")
 
 
 def symbol_key(s: Symbol) -> tuple[str, str]:
@@ -356,9 +364,11 @@ class LogicSystem:
     check decides a pass from `_arities`, `_conclusions` and the columns of
     `_keys` (see `_mixed_shape`).  `premise_index` is a view of them built
     on first use, sharing the tuples of `_premise_rules`, and
-    `first_premise_index` one built from the keys on the first
-    `closure.step` (which the one-pass closed forms and `close_naive`
-    call).
+    `_first_premise_index` one built from the keys on the first
+    `closure.step` (which the one-pass closed forms call): a rule of at
+    most two distinct premises is filed under its first premise as the
+    pair (other premise, conclusion), and only a rule of three or more
+    keeps a premise frozenset.
 
     `rules` is built from the keys on first access, one `Rule` per key
     through `_rule`, and cached; a refused shape check builds only the
@@ -451,22 +461,35 @@ class LogicSystem:
         return dict(compress(zip(self._symbols, rules), rules))
 
     @cached_property
-    def first_premise_index(self) -> dict[Symbol, tuple[tuple[frozenset[Symbol], Symbol], ...]]:
-        """Maps each symbol to the (premise set, conclusion) of the rules whose
-        first premise it is.
+    def _first_premise_index(self) -> tuple[dict[Symbol, tuple[tuple[Symbol, Symbol], ...]],
+                                            dict[Symbol, tuple[tuple[frozenset[Symbol], Symbol], ...]]]:
+        """Two maps from each symbol to the rules whose written first premise
+        it is, each rule under exactly one key: `pairs` and `wide`.
 
-        Every rule appears under exactly one key.  `closure.step` walks this
-        index from the members of X, so a query looks only at the rules
-        whose first premise is in X, not at every rule, and tests each
-        against a premise set hashed once here.  Built lazily on the first
-        `step`, which the one-pass closed forms and `close_naive` call;
-        `close` never needs it.
+        A rule of at most two distinct premises is the pair (other,
+        conclusion) in `pairs`, where `other` is its second distinct
+        premise, or its first premise again when it has one distinct premise
+        (`a => b`, `a a => b`).  Its premise set lies inside X exactly when
+        its key and `other` are in X, so no premise set is stored.  A rule
+        of three or more distinct premises is (premise set, conclusion) in
+        `wide`, which is empty unless the system has such a rule.
+
+        `closure.step` walks both from the members of X, so a query looks
+        only at the rules whose first premise is in X.  Built on the first
+        `step`, which the one-pass closed forms call; `close` never needs it.
         """
         at = self._symbols.__getitem__
-        index: dict[Symbol, list[tuple[frozenset[Symbol], Symbol]]] = {}
-        for key in self._keys:
-            index.setdefault(at(key[1]), []).append((frozenset(map(at, key[1:-1])), at(key[-1])))
-        return {s: tuple(rules) for s, rules in index.items()}
+        pairs: dict[Symbol, list[tuple[Symbol, Symbol]]] = {}
+        wide: dict[Symbol, list[tuple[frozenset[Symbol], Symbol]]] = {}
+        for key, count in zip(self._keys, self.premise_counts):
+            first = key[1]
+            if count > 2:
+                wide.setdefault(at(first), []).append((frozenset(map(at, key[1:-1])), at(key[-1])))
+            else:
+                # with one or two written premises, the last one is the other
+                other = key[-2] if key[0] <= 2 else next((p for p in key[2:-1] if p != first), first)
+                pairs.setdefault(at(first), []).append((at(other), at(key[-1])))
+        return {s: tuple(v) for s, v in pairs.items()}, {s: tuple(v) for s, v in wide.items()}
 
     @cached_property
     def ternary_shape(self) -> "ShapeCheck":
@@ -577,7 +600,11 @@ def _mixed_shape(system: LogicSystem, label: str) -> ShapeCheck:
     when it refuses, to find the first offending rule, which a refused
     system always has; only the rules the reason names are built.
     """
-    shape, symbols = _SHAPES[label], system._symbols
+    try:
+        shape, symbols = _SHAPES[label], system._symbols
+    except AttributeError:
+        _require_instance(system, LogicSystem, "system", "a LogicSystem")
+        raise
     if system._arities == {len(shape)} and all(
         all(symbols[s].sort is sort for s in column) and (j == len(shape) or column.isdisjoint(system._conclusions))
         for j, (_, sort) in enumerate(shape, 1)
@@ -612,8 +639,13 @@ def is_mixed_binary(system: LogicSystem) -> ShapeCheck:
     return _mixed_shape(system, "binary")
 
 
-def _require_shape(check: ShapeCheck, label: str) -> None:
-    """Raise PreconditionViolated unless `check`, a system's memoized
-    `ternary_shape` or `binary_shape`, passed."""
+def _require_shape(system: LogicSystem, label: str) -> None:
+    """Raise PreconditionViolated unless the system's memoized
+    `ternary_shape` or `binary_shape`, by `label`, passed."""
+    try:
+        check = system.ternary_shape if label == "ternary" else system.binary_shape
+    except AttributeError:
+        _require_instance(system, LogicSystem, "system", "a LogicSystem")
+        raise
     if not check:
         raise PreconditionViolated(f"not a mixed {label} system: {check.reason}")

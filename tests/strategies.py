@@ -3,8 +3,9 @@
 The hypothesis composites shrink nicely and drive the property tests; the
 `random_*` builders take a `random.Random` and are used where a test needs
 hundreds of systems fast (the acceptance suite).  `unscannable` makes a
-copy of a system whose answers must come from its compiled form, and
-`scan_step` is the full-scan oracle for `step`.
+copy of a system whose answers must come from its compiled form,
+`scan_step` is the full-scan oracle for `step`, and `scan_close`, which
+iterates it, the oracle for the closure.
 """
 
 import random
@@ -96,6 +97,25 @@ def mixed_binary_systems(draw, max_each=5, max_rules=5):
 
 
 @st.composite
+def mixed_width_systems(draw, max_symbols=6, max_rules=8):
+    """Systems whose rules have one, two and three or more distinct premises
+    side by side, each premise list shuffled and with up to two repeats, as
+    in `a a => b` and `a b a => c`."""
+    total = draw(st.integers(3, max_symbols))
+    n_std = draw(st.integers(1, total - 1))
+    lang = make_language([f"s{i}" for i in range(n_std)], [f"n{i}" for i in range(total - n_std)])
+    names = sorted(s.name for s in lang.symbols)
+
+    def rule(width):
+        distinct = st.lists(st.sampled_from(names), min_size=width, max_size=width, unique=True)
+        premises = distinct.flatmap(lambda ps: st.lists(st.sampled_from(ps), max_size=2).map(ps.__add__))
+        return st.tuples(premises.flatmap(st.permutations), st.sampled_from(names))
+
+    widths = [1, 2, 3, *draw(st.lists(st.integers(1, min(4, total)), max_size=max_rules - 3))]
+    return make_system(lang, [draw(rule(width)) for width in widths])
+
+
+@st.composite
 def system_inputs(draw, system: LogicSystem):
     pool = _pool(system)
     return frozenset(draw(st.lists(st.sampled_from(pool), max_size=len(pool))))
@@ -172,3 +192,19 @@ def scan_step(system: LogicSystem, x: frozenset) -> frozenset:
     """`step` by its definition: X plus the conclusion of every rule whose
     premise set lies inside X, found by scanning all the rules."""
     return x | {r.conclusion for r in system.rules if r.premise_set <= x}
+
+
+def scan_close(system: LogicSystem, x: frozenset) -> frozenset:
+    """The closure by its definition: `scan_step` iterated to its fixpoint.
+
+    Every productive round adds at least one conclusion symbol, so the round
+    count is bounded by the number of distinct conclusions plus the round
+    that finds nothing new; that bound is asserted.
+    """
+    x = frozenset(x)
+    for _ in range(len(system.conclusions) + 1):
+        nxt = scan_step(system, x)
+        if nxt == x:
+            return x
+        x = nxt
+    raise AssertionError("closure exceeded its round bound")

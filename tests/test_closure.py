@@ -1,8 +1,8 @@
 """Fixpoint closure, the one-pass closed forms, and chain systems.
 
 The closed forms are fast paths, never the definition, so most properties
-here compare them against `close` (and `close` against `close_naive`, and
-`step` against a scan of every rule).
+here compare them against `close` (and `close` against `scan_close`, and
+`step` against `scan_step`, the tests' full scans of every rule).
 """
 
 import gc
@@ -20,7 +20,6 @@ from conseq import (
     TooShort,
     chain_system,
     close,
-    close_naive,
     closed_form_binary,
     closed_form_ternary,
     make_language,
@@ -34,6 +33,8 @@ from strategies import (
     chaining_ternary_systems,
     mixed_binary_systems,
     mixed_ternary_systems,
+    mixed_width_systems,
+    scan_close,
     scan_step,
     system_inputs,
     systems_with_input,
@@ -82,7 +83,7 @@ def test_step_finds_a_rule_under_its_written_first_premise():
     lang = make_language({"a1", "b1"}, {"l1"})
     system = make_system(lang, [(("l1", "a1"), "b1")])
     a1, b1, l1 = map(lang.resolve, ("a1", "b1", "l1"))
-    assert list(system.first_premise_index) == [l1]
+    assert system._first_premise_index == ({l1: ((a1, b1),)}, {})
     for x in (frozenset(), frozenset({a1}), frozenset({l1}), frozenset({a1, l1})):
         assert step(system, x) == scan_step(system, x)
     assert step(system, {a1, l1}) == {a1, b1, l1}
@@ -97,6 +98,17 @@ def test_step_finds_a_rule_under_its_written_first_premise():
 def test_step_equals_the_full_rule_scan(case):
     system, x = case
     assert step(system, x) == scan_step(system, x)
+
+
+@given(mixed_width_systems().flatmap(lambda s: st.tuples(st.just(s), system_inputs(s))))
+def test_step_equals_the_full_rule_scan_on_rules_of_every_width(case):
+    # each rule's premise set fires it, and that set less any one premise
+    # fires it not; rules of one, two and three or more distinct premises,
+    # repeated premises among them, share the index
+    system, x = case
+    premise_sets = [r.premise_set for r in system.rules]
+    for y in (x, *premise_sets, *(ps - {p} for ps in premise_sets for p in ps)):
+        assert step(system, y) == scan_step(system, y)
 
 
 def test_close_chain_from_head_reaches_everything():
@@ -121,7 +133,7 @@ def test_close_of_closure_is_fixed(single_rule):
 def test_close_empty_input_is_empty(single_rule):
     _, system = single_rule
     assert close(system, frozenset()) == frozenset()
-    assert close_naive(system, frozenset()) == frozenset()
+    assert scan_close(system, frozenset()) == frozenset()
 
 
 def test_close_rejects_foreign_symbols(single_rule):
@@ -147,7 +159,6 @@ def _weight_binary(system, members):
 _EVALUATORS = [
     step,
     close,
-    close_naive,
     closed_form_ternary,
     closed_form_binary,
     pytest.param(_tabulate, id="tabulate"),
@@ -212,7 +223,7 @@ def test_closed_form_ternary_fires_only_rules_whose_whole_premise_set_is_in():
     x = frozenset(lang.resolve(n) for n in ("a", "l1", "l3"))
     expected = x | {lang.resolve("b1"), lang.resolve("b3")}
     assert closed_form_ternary(system, x) == expected
-    assert close_naive(system, x) == expected
+    assert scan_close(system, x) == expected
 
 
 def test_a_repeated_premise_is_one_entry_and_fires():
@@ -246,15 +257,16 @@ def test_first_premise_index_is_built_only_by_a_one_pass_query():
     close(chaining, {lang.resolve("a1")})
     with pytest.raises(PreconditionViolated):
         closed_form_ternary(chaining, frozenset())
-    assert "first_premise_index" not in vars(chaining)
+    assert "_first_premise_index" not in vars(chaining)
     step(chaining, {lang.resolve("a1")})
-    assert "first_premise_index" in vars(chaining)
+    assert "_first_premise_index" in vars(chaining)
     ternary = make_system(lang, [(("a1", "l1"), "b1"), (("a1", "l2"), "b2")])
     closed_form_ternary(ternary, frozenset())
-    assert "first_premise_index" in vars(ternary)
-    # Construction and `close` keep no premise frozenset per rule: a rule has
-    # no instance dict to cache one in, and a 500-rule chain leaves a handful
-    # of frozensets alive (language parts, the result), not one per rule.
+    assert "_first_premise_index" in vars(ternary)
+    # Construction, `close` and `step` keep no premise frozenset per rule of
+    # at most two distinct premises: a rule has no instance dict to cache
+    # one in, and a 500-rule chain leaves a handful of frozensets alive
+    # (language parts, the results), not one per rule.
     assert not any(hasattr(r, "__dict__") for r in (*chaining.rules, *ternary.rules))
     frozensets = lambda: sum(type(o) is frozenset for o in gc.get_objects())
     symbols = [Symbol(f"s{i}", Sort.STANDARD) for i in range(501)]
@@ -263,8 +275,10 @@ def test_first_premise_index_is_built_only_by_a_one_pass_query():
     chain = chain_system(symbols)
     tail = close(chain, {symbols[0]})
     assert len(tail) == 501 and frozensets() - before < 10
-    assert len(chain.first_premise_index) == 500  # one premise set per rule
-    assert frozensets() - before >= 500
+    assert step(chain, {symbols[0]}) == {symbols[0], symbols[1]}
+    pairs, wide = chain._first_premise_index
+    assert len(pairs) == 500 and not wide  # one (other, conclusion) pair per rule
+    assert frozensets() - before < 10
 
 
 def test_closed_form_ternary_refuses_chaining_system():
@@ -348,7 +362,7 @@ def test_closure_is_union_of_subset_closures(case):
 @given(systems_with_input())
 def test_semi_naive_agrees_with_naive(case):
     system, x = case
-    assert close(system, x) == close_naive(system, x)
+    assert close(system, x) == scan_close(system, x)
 
 
 @given(mixed_ternary_systems(max_each=3))
@@ -357,7 +371,7 @@ def test_ternary_fast_path_equals_engine(system):
         x = frozenset(xs)
         fast = closed_form_ternary(system, x)
         assert fast == close(system, x)
-        assert fast == close_naive(system, x)
+        assert fast == scan_close(system, x)
 
 
 @given(mixed_binary_systems(max_each=4))
@@ -366,7 +380,7 @@ def test_binary_fast_path_equals_engine(system):
         x = frozenset(xs)
         fast = closed_form_binary(system, x)
         assert fast == close(system, x)
-        assert fast == close_naive(system, x)
+        assert fast == scan_close(system, x)
 
 
 @given(mixed_ternary_systems(max_each=3))

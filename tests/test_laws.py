@@ -32,7 +32,6 @@ from conseq import (
     UniverseTooLarge,
     check_axioms,
     close,
-    close_naive,
     equivalent,
     make_language,
     make_system,
@@ -44,7 +43,7 @@ from conseq import (
 )
 from conseq import laws
 from conseq.laws import _covering_pairs, _is_monotone, _lanes, _step_table, _subset_or, _unlanes
-from strategies import chaining_ternary_systems, mixed_ternary_systems, systems
+from strategies import chaining_ternary_systems, mixed_ternary_systems, scan_close, systems
 
 X = Symbol("x", Sort.STANDARD)
 Y = Symbol("y", Sort.STANDARD)
@@ -325,7 +324,7 @@ def test_insertion_and_idempotence_verdicts_match_their_definitions(case):
 def test_tabulate_matches_the_naive_oracle(system):
     table = tabulate(system, system.language.symbols)
     for subset in table.subsets():
-        assert table.image(subset) == close_naive(system, subset)
+        assert table.image(subset) == scan_close(system, subset)
 
 
 @given(systems(max_symbols=6))
@@ -549,9 +548,9 @@ def test_failing_rows_on_chaining_systems_name_witnesses_that_break_their_law(sy
     # table, which only a chaining system makes differ from it
     vars(system)["ternary_shape"] = ShapeCheck(True)
     report, engine = verify_with_engine(system)
-    # `close_naive`, not tabulate: the engine may be tabulate's table
+    # `scan_close`, not tabulate: the engine may be tabulate's table
     subsets = all_subsets(engine.universe)
-    assert all(engine.image(x) == close_naive(system, x) for x in subsets)
+    assert all(engine.image(x) == scan_close(system, x) for x in subsets)
     one_pass_is_closure = all(close(system, x) == step(system, x) for x in subsets)
     assert result_by_law(report, "closed-form-agreement").passed == one_pass_is_closure
     # close(X) is X when no premise set lies inside X, chaining or not

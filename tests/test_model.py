@@ -32,7 +32,6 @@ from conseq import (
     chain_system,
     check_axioms,
     close,
-    close_naive,
     closed_form_binary,
     closed_form_ternary,
     is_mixed_binary,
@@ -687,10 +686,9 @@ def answers(system, inputs):
         "shapes": (is_mixed_ternary(system), is_mixed_binary(system)),
         "close": [close(system, x) for x in inputs],
         "step": [step(system, x) for x in inputs],
-        "close_naive": [close_naive(system, x) for x in inputs],
         "ternary": [outcome(lambda: closed_form_ternary(system, x)) for x in inputs],
         "binary": [outcome(lambda: closed_form_binary(system, x)) for x in inputs],
-        "first_premise_index": system.first_premise_index,
+        "first_premise_index": system._first_premise_index,
         "tabulate": table,
         "check_axioms": outcome(lambda: check_axioms(table)),
         "verify": outcome(lambda: verify_closed_form_characterization(system)),
@@ -711,10 +709,23 @@ def test_every_compiled_reader_answers_without_the_rules(system):
     assert answers(blind, inputs) == answers(system, inputs)
     assert is_mixed_ternary(blind).reason == ternary_reason_by_scan(system)
     assert is_mixed_binary(blind).reason == binary_reason_by_scan(system)
-    index = {}
+    assert blind._first_premise_index == first_premise_index_by_scan(system)
+
+
+def first_premise_index_by_scan(system):
+    """`_first_premise_index` rebuilt from the rules: under its first
+    premise, a rule of at most two distinct premises is (other premise,
+    conclusion), with the first premise again for one distinct premise,
+    and any other rule (premise set, conclusion)."""
+    pairs, wide = {}, {}
     for r in system.rules:
-        index.setdefault(r.premises[0], []).append((r.premise_set, r.conclusion))
-    assert blind.first_premise_index == {s: tuple(rules) for s, rules in index.items()}
+        first = r.premises[0]
+        if len(r.premise_set) <= 2:
+            other = next((p for p in r.premises if p != first), first)
+            pairs.setdefault(first, []).append((other, r.conclusion))
+        else:
+            wide.setdefault(first, []).append((r.premise_set, r.conclusion))
+    return {s: tuple(v) for s, v in pairs.items()}, {s: tuple(v) for s, v in wide.items()}
 
 
 COPIED = {
@@ -733,7 +744,7 @@ def test_copies_and_pickles_of_a_system_are_equal_systems(text, duplicate):
     for warm in False, True:
         system = parse_system(text).system
         if warm:  # the memoized forms travel too
-            system.rules, system.ternary_shape, system.first_premise_index
+            system.rules, system.ternary_shape, system._first_premise_index
         twin = duplicate(system)
         assert twin == system and hash(twin) == hash(system)
         assert twin.rules == system.rules and twin._keys == system._keys

@@ -29,13 +29,21 @@ from conseq import (
     Sort,
     Symbol,
     chain_system,
+    check_axioms,
+    close,
     equivalent,
+    is_mixed_ternary,
     make_language,
     make_system,
     matched_rules_binary,
     matched_rules_ternary,
     parse_set,
     render_set,
+    render_system,
+    step,
+    tabulate,
+    verify_closed_form_characterization,
+    weight_binary,
 )
 
 MODULES = sorted(Path(conseq.__file__).parent.glob("*.py"))
@@ -276,3 +284,25 @@ def test_from_function_names_an_image_that_is_not_a_set_of_symbols(image, reason
     with pytest.raises(LanguageMismatch) as info:
         OperatorTable.from_function((X,), lambda s: image)
     assert str(info.value) == f"image of mask 0 is not a set of Symbols: {reason}"
+
+
+# readers given None where a system, table or document belongs: each names
+# its argument once the attribute lookup that needs one has failed
+NOT_SYSTEMS = {
+    "close": (lambda: close(None, []), "system", "a LogicSystem"),
+    "step": (lambda: step(None, []), "system", "a LogicSystem"),
+    "tabulate": (lambda: tabulate(None, []), "system", "a LogicSystem"),
+    "is-mixed-ternary": (lambda: is_mixed_ternary(None), "system", "a LogicSystem"),
+    "weight-binary": (lambda: weight_binary(None, X), "system", "a LogicSystem"),
+    "verify": (lambda: verify_closed_form_characterization(None), "system", "a LogicSystem"),
+    "check-axioms": (lambda: check_axioms(None), "table", "an OperatorTable"),
+    "render-system": (lambda: render_system(None), "doc", "a SystemDocument or LogicSystem"),
+}
+
+
+@pytest.mark.parametrize("site", NOT_SYSTEMS)
+def test_readers_name_an_argument_that_is_not_a_system(site):
+    call, argument, noun = NOT_SYSTEMS[site]
+    with pytest.raises(InvalidValue) as info:
+        call()
+    assert str(info.value) == f"argument {argument} is not {noun}: None"
